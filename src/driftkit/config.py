@@ -63,6 +63,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,8 +173,8 @@ class EvalSettings:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("eval.threshold must be in (0, 1)")
-        if self.epsilon < 0:
-            raise ConfigError("eval.epsilon must be >= 0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ConfigError(f"eval.epsilon must be finite and >= 0, got {self.epsilon}")
         if self.persistence < 1:
             raise ConfigError("eval.persistence must be >= 1")
         if self.error_metric not in ERROR_METRICS:

@@ -1,60 +1,18 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-Every kernel exists twice: a pure-numpy implementation (``*_np``) and a
-numba ``@njit`` twin (``*_nb``). The module-level names (``sigmoid``,
-``loss_forward``, ``loss_grad``, ``adamw_update``) dispatch to one backend,
-chosen once at import time:
-
-  * ``DRIFTKIT_NUMBA=0`` in the environment forces the numpy path;
-  * otherwise numba is used when importable, numpy when not.
-
-Both paths implement identical arithmetic and each is individually
-deterministic. Across backends, kernels built purely from correctly
-rounded operations (``adamw_update``) agree bit-for-bit; kernels that
-call ``exp`` (``sigmoid``, ``loss_grad``) agree within 2 ulp because
-numpy's vectorized exp and libm's exp may round the last bit
-differently; the reduction in ``loss_forward`` agrees to ~1e-15 relative
-because numpy sums pairwise while the jitted loop sums serially.
+"""Hot elementwise numeric kernels, in numpy.
 
 All kernels take float64 arrays. Labels are passed as float64 0.0/1.0.
-Matrix products are deliberately absent: those stay on numpy's BLAS,
-where a jitted loop cannot compete.
+Matrix products are deliberately absent: those stay on numpy's BLAS.
 """
-
-import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("DRIFTKIT_NUMBA", "1") != "0"
-
 
 def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def sigmoid_np(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     """Stable logistic function, exact for any finite input magnitude."""
     out = np.empty_like(z)
     pos = z >= 0.0
@@ -64,122 +22,68 @@ def sigmoid_np(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softplus_np(z: np.ndarray) -> np.ndarray:
+def _softplus(z: np.ndarray) -> np.ndarray:
     # log(1 + e^z) without overflow; equals z for large z, 0 for very negative z
     return np.logaddexp(0.0, z)
 
 
-def loss_forward_np(z, y, a1, a0, lam) -> float:
+def loss_forward(z, y, a1, a0, lam) -> float:
     """Mean weighted logistic loss plus mean (lam/2)*z^2 logit penalty.
 
     a1 scales the positive-label term, a0 the negative-label term. The
     log-sigmoid terms are computed in logit space (softplus) so the value
     stays finite for |z| up to ~1e300.
     """
-    core = a1 * y * _softplus_np(-z) + a0 * (1.0 - y) * _softplus_np(z)
+    core = a1 * y * _softplus(-z) + a0 * (1.0 - y) * _softplus(z)
     return float(np.mean(core + 0.5 * lam * z * z))
 
 
-def loss_grad_np(z, y, a1, a0, lam) -> np.ndarray:
+def loss_grad(z, y, a1, a0, lam) -> np.ndarray:
     """d(loss_forward)/dz, one entry per logit (the 1/N is folded in).
 
     1 - sigmoid(z) is computed as sigmoid(-z) so the positive-label term
     keeps full relative precision for large positive z, where the naive
     subtraction would leave only a few significant bits.
     """
-    p = sigmoid_np(z)
-    q = sigmoid_np(-z)
+    p = sigmoid(z)
+    q = sigmoid(-z)
     return (-a1 * y * q + a0 * (1.0 - y) * p + lam * z) / z.size
 
 
-def adamw_update_np(p, g, m, v, c1, c2, lr, beta1, beta2, eps, wd) -> None:
-    """One AdamW step, in place on flat float64 views.
+def adamw_update(p, g, m, v, c1, c2, lr, beta1, beta2, eps, wd,
+                 no_decay=None, scratch=None) -> None:
+    """One AdamW step, in place on flat float64 vectors:
 
-    c1/c2 are the bias corrections 1 - beta**t, precomputed by the caller
-    so both backends consume the exact same floats. Decoupled weight
-    decay: the decay term multiplies the parameter directly and is
-    skipped entirely when wd == 0 (bias tensors).
+        m <- beta1*m + (1-beta1)*g
+        v <- beta2*v + (1-beta2)*g*g
+        p <- p - lr*((m/c1) / (sqrt(v/c2) + eps))
+        p <- p - (lr*wd)*p            (decoupled weight decay)
+
+    c1/c2 are the bias corrections 1 - beta**t, precomputed by the caller.
+    The decay step is skipped when wd == 0, and for the entries that
+    ``no_decay`` indexes (the biases): they subtract an exact +0.0, which
+    leaves every float unchanged. ``scratch``, two float64 vectors of p's
+    size, avoids allocating temporaries on every call. The operation
+    order is fixed, so a whole model updated in one call gets the same
+    bits as each tensor updated on its own.
     """
+    a, b = scratch if scratch is not None else (np.empty_like(p), np.empty_like(p))
     m *= beta1
-    m += (1.0 - beta1) * g
+    np.multiply(g, 1.0 - beta1, out=a)
+    m += a
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    p -= lr * ((m / c1) / (np.sqrt(v / c2) + eps))
+    np.multiply(g, 1.0 - beta2, out=a)
+    a *= g
+    v += a
+    np.divide(v, c2, out=a)
+    np.sqrt(a, out=a)
+    a += eps
+    np.divide(m, c1, out=b)
+    b /= a
+    b *= lr
+    p -= b
     if wd != 0.0:
-        p -= lr * wd * p
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _sigmoid_scalar(z):
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
-
-
-@njit(cache=True)
-def _softplus_scalar(z):
-    if z > 0.0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
-
-
-@njit(cache=True)
-def sigmoid_nb(z):
-    out = np.empty_like(z)
-    for i in range(z.size):
-        out[i] = _sigmoid_scalar(z[i])
-    return out
-
-
-@njit(cache=True)
-def loss_forward_nb(z, y, a1, a0, lam):
-    total = 0.0
-    for i in range(z.size):
-        zi = z[i]
-        total += a1 * y[i] * _softplus_scalar(-zi)
-        total += a0 * (1.0 - y[i]) * _softplus_scalar(zi)
-        total += 0.5 * lam * zi * zi
-    return total / z.size
-
-
-@njit(cache=True)
-def loss_grad_nb(z, y, a1, a0, lam):
-    n = z.size
-    out = np.empty(n)
-    for i in range(n):
-        # sigmoid(-z) is the stable 1 - sigmoid(z), see loss_grad_np
-        p = _sigmoid_scalar(z[i])
-        q = _sigmoid_scalar(-z[i])
-        out[i] = (-a1 * y[i] * q + a0 * (1.0 - y[i]) * p + lam * z[i]) / n
-    return out
-
-
-@njit(cache=True)
-def adamw_update_nb(p, g, m, v, c1, c2, lr, beta1, beta2, eps, wd):
-    for i in range(p.size):
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-        p[i] -= lr * ((m[i] / c1) / (math.sqrt(v[i] / c2) + eps))
-        if wd != 0.0:
-            p[i] -= lr * wd * p[i]
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    sigmoid = sigmoid_nb
-    loss_forward = loss_forward_nb
-    loss_grad = loss_grad_nb
-    adamw_update = adamw_update_nb
-else:
-    sigmoid = sigmoid_np
-    loss_forward = loss_forward_np
-    loss_grad = loss_grad_np
-    adamw_update = adamw_update_np
+        np.multiply(p, lr * wd, out=a)
+        if no_decay is not None:
+            a[no_decay] = 0.0
+        p -= a

@@ -18,6 +18,7 @@ code path, same rounding).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,10 +58,13 @@ class LossConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown loss variant {self.variant!r}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
-        if self.p_fn <= 0 or self.p_fp <= 0:
-            raise ConfigError("penalty coefficients must be > 0")
+        # written as ranges so that NaN, which fails every comparison, fails them too
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (0.0 < self.p_fn < math.inf and 0.0 < self.p_fp < math.inf):
+            raise ConfigError(
+                f"p_fn and p_fp must be finite and > 0, got {self.p_fn} and {self.p_fp}"
+            )
         if not (0 <= self.w0 <= 1 and 0 <= self.w1 <= 1):
             raise ConfigError("class weights must lie in [0, 1]")
         if self.weight_mode not in WEIGHT_MODES:
@@ -115,8 +119,8 @@ def bce(logits, labels) -> float:
 
 def sd_bce(logits, labels, lam: float) -> float:
     """BCE plus the mean (lam/2) * z^2 logit penalty."""
-    if lam < 0:
-        raise ConfigError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError(f"lam must be finite and >= 0, got {lam}")
     z, y = _validate_batch(logits, labels)
     return kernels.loss_forward(z, y, 1.0, 1.0, float(lam))
 

@@ -23,6 +23,8 @@ and second moments follow in the same order when present.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .data import FeatureMask
-from .errors import ConfigError, FormatError, ShapeError, StateError
+from .errors import ConfigError, DriftkitError, FormatError, ShapeError, StateError
 from .numerics import dropout_mask, make_rng, matmul, relu, relu_grad, sigmoid
 
 _MAGIC = b"DNET"
@@ -103,32 +105,79 @@ def _is_weight(name: str) -> bool:
     return name.rsplit(".", 1)[1].startswith("W")
 
 
-@dataclass
-class ModelParams:
-    """All weight/bias tensors plus the topology they belong to."""
+def param_count(cfg: ModelConfig) -> int:
+    return sum(math.prod(shape) for _, shape in layer_shapes(cfg))
 
-    cfg: ModelConfig
-    tensors: dict = field(default_factory=dict)
+
+def tensor_views(cfg: ModelConfig, flat: np.ndarray) -> dict:
+    """name -> view of ``flat`` with the tensor's shape, in layer order."""
+    views, start = {}, 0
+    for name, shape in layer_shapes(cfg):
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
+def bias_indices(cfg: ModelConfig) -> np.ndarray:
+    """Positions of the bias entries in the flat layout."""
+    positions = tensor_views(cfg, np.arange(param_count(cfg)))
+    return np.concatenate([v for name, v in positions.items() if not _is_weight(name)])
+
+
+class ModelParams:
+    """All weight/bias tensors of one network, stored contiguously.
+
+    ``flat`` is one float64 vector holding every tensor raveled in
+    ``layer_shapes`` order, which is also the checkpoint blob order.
+    ``tensors[name]`` is a view into it: update tensors in place, since
+    rebinding an entry detaches it from ``flat``. Gradients use the same
+    layout, so a ModelParams also serves as a gradient buffer.
+    """
+
+    def __init__(self, cfg: ModelConfig, flat: np.ndarray):
+        if (
+            not isinstance(flat, np.ndarray)
+            or flat.dtype != np.float64
+            or flat.shape != (param_count(cfg),)
+            or not flat.flags.c_contiguous
+        ):
+            raise ShapeError(
+                f"parameters must be a contiguous float64 vector of {param_count(cfg)} entries"
+            )
+        self.cfg = cfg
+        self.flat = flat
+        self.tensors = tensor_views(cfg, flat)
+
+    @classmethod
+    def from_tensors(cls, cfg: ModelConfig, tensors: dict) -> "ModelParams":
+        """Pack a name -> array dict into a new flat buffer."""
+        params = cls(cfg, np.empty(param_count(cfg)))
+        for name, view in params.tensors.items():
+            if name not in tensors:
+                raise ShapeError(f"missing tensor {name}")
+            t = np.asarray(tensors[name], dtype=np.float64)
+            if t.shape != view.shape:
+                raise ShapeError(f"{name}: shape {t.shape} != expected {view.shape}")
+            view[...] = t
+        return params
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.cfg, {k: v.copy() for k, v in self.tensors.items()})
+        return ModelParams(self.cfg, self.flat.copy())
 
     def names(self) -> list[str]:
-        return [name for name, _ in layer_shapes(self.cfg)]
+        return list(self.tensors)
 
 
 def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
     """He-uniform weights (variance 2/fan_in), zero biases, seed-determined."""
     rng = make_rng(seed)
-    tensors = {}
-    for name, shape in layer_shapes(cfg):
+    params = ModelParams(cfg, np.zeros(param_count(cfg)))
+    for name, t in params.tensors.items():
         if _is_weight(name):
-            fan_in = shape[0]
-            limit = np.sqrt(6.0 / fan_in)
-            tensors[name] = rng.uniform(-limit, limit, size=shape)
-        else:
-            tensors[name] = np.zeros(shape)
-    return ModelParams(cfg, tensors)
+            limit = np.sqrt(6.0 / t.shape[0])
+            t[...] = rng.uniform(-limit, limit, size=t.shape)
+    return params
 
 
 def forward(
@@ -191,9 +240,13 @@ def forward(
     return z, cache
 
 
-def backward(params: ModelParams, cache: dict, dz: np.ndarray) -> dict:
+def backward(
+    params: ModelParams, cache: dict, dz: np.ndarray, out: ModelParams | None = None
+) -> dict:
     """Gradients of the scalar loss for every tensor, given dL/dlogit.
 
+    The gradients are written into ``out``, a buffer with the parameters'
+    layout (a new one when None), and returned as its name -> view dict.
     The cache must come from a forward call on this same params object;
     anything else raises StateError.
     """
@@ -203,42 +256,46 @@ def backward(params: ModelParams, cache: dict, dz: np.ndarray) -> dict:
     n = cache["X"].shape[0]
     if dz.shape != (n,):
         raise StateError(f"upstream gradient length {dz.size} != cached batch {n}")
+    if out is None:
+        out = ModelParams(params.cfg, np.empty_like(params.flat))
+    elif out.flat.shape != params.flat.shape:
+        raise ShapeError("gradient buffer does not match the parameters")
 
     cfg = params.cfg
     t = params.tensors
-    grads: dict = {}
+    grads = out.tensors
     dZ = dz.reshape(-1, 1)
 
     h_last = cache["h_last"]
-    grads["out.W"] = matmul(h_last.T, dZ)
-    grads["out.b"] = dZ.sum(axis=0)
+    grads["out.W"][...] = matmul(h_last.T, dZ)
+    dZ.sum(axis=0, out=grads["out.b"])
     dh = matmul(dZ, t["out.W"].T)
 
     for j in reversed(range(len(cfg.head_widths))):
         h_in, tpre = cache["heads"][j]
         dtpre = dh * relu_grad(tpre)
-        grads[f"head{j}.W"] = matmul(h_in.T, dtpre)
-        grads[f"head{j}.b"] = dtpre.sum(axis=0)
+        grads[f"head{j}.W"][...] = matmul(h_in.T, dtpre)
+        dtpre.sum(axis=0, out=grads[f"head{j}.b"])
         dh = matmul(dtpre, t[f"head{j}.W"].T)
 
     for k in reversed(range(cfg.n_residual_blocks)):
         h_in, upre, u, spre, mk = cache["blocks"][k]
         ds = dh * mk if mk is not None else dh
         dspre = ds * relu_grad(spre)
-        grads[f"block{k}.W2"] = matmul(u.T, dspre)
-        grads[f"block{k}.b2"] = dspre.sum(axis=0)
+        grads[f"block{k}.W2"][...] = matmul(u.T, dspre)
+        dspre.sum(axis=0, out=grads[f"block{k}.b2"])
         du = matmul(dspre, t[f"block{k}.W2"].T)
         dupre = du * relu_grad(upre)
-        grads[f"block{k}.W1"] = matmul(h_in.T, dupre)
-        grads[f"block{k}.b1"] = dupre.sum(axis=0)
+        grads[f"block{k}.W1"][...] = matmul(h_in.T, dupre)
+        dupre.sum(axis=0, out=grads[f"block{k}.b1"])
         # skip connection: gradient re-enters the block input directly
         dh = dspre + matmul(dupre, t[f"block{k}.W1"].T)
 
     pre0, m0 = cache["entry"]
     da0 = dh * m0 if m0 is not None else dh
     dpre0 = da0 * relu_grad(pre0)
-    grads["entry.W"] = matmul(cache["X"].T, dpre0)
-    grads["entry.b"] = dpre0.sum(axis=0)
+    grads["entry.W"][...] = matmul(cache["X"].T, dpre0)
+    dpre0.sum(axis=0, out=grads["entry.b"])
     return grads
 
 
@@ -257,7 +314,11 @@ def predict_proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """AdamW moments and hyper-parameters. Weight decay skips biases."""
+    """AdamW hyper-parameters and moments. Weight decay skips biases.
+
+    ``m`` and ``v`` are flat vectors in the parameters' layout. The bias
+    positions and the kernel's scratch vectors are built on the first step.
+    """
 
     lr: float = 1e-4
     weight_decay: float = 1e-4
@@ -265,8 +326,10 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    biases: np.ndarray | None = field(default=None, repr=False, compare=False)
+    scratch: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def init_optimizer(
@@ -278,41 +341,43 @@ def init_optimizer(
     eps: float = 1e-8,
 ) -> OptimizerState:
     state = OptimizerState(lr, weight_decay, beta1, beta2, eps)
-    for name in params.names():
-        state.m[name] = np.zeros_like(params.tensors[name])
-        state.v[name] = np.zeros_like(params.tensors[name])
+    state.m = np.zeros_like(params.flat)
+    state.v = np.zeros_like(params.flat)
     return state
 
 
-def adamw_step(params: ModelParams, grads: dict, state: OptimizerState) -> None:
-    """One decoupled-weight-decay Adam update, in place:
+def adamw_step(params: ModelParams, grads, state: OptimizerState) -> None:
+    """One decoupled-weight-decay Adam update of every tensor, in place:
 
         p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p
+
+    ``grads`` is a gradient buffer from ``backward`` or a name -> array
+    dict. The whole model is updated in one kernel call.
     """
+    if not isinstance(grads, ModelParams):
+        grads = ModelParams.from_tensors(params.cfg, grads)
+    p = params.flat
+    if grads.flat.shape != p.shape or state.m.shape != p.shape or state.v.shape != p.shape:
+        raise ShapeError("gradients or optimizer moments do not match the parameters")
+    if state.scratch is None:
+        state.biases = bias_indices(params.cfg)
+        state.scratch = (np.empty_like(p), np.empty_like(p))
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
-    for name in params.names():
-        p = params.tensors[name]
-        if name not in grads:
-            raise ShapeError(f"missing gradient for {name}")
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        wd = state.weight_decay if _is_weight(name) else 0.0
-        kernels.adamw_update(
-            p.reshape(-1),
-            np.ascontiguousarray(g).reshape(-1),
-            state.m[name].reshape(-1),
-            state.v[name].reshape(-1),
-            c1,
-            c2,
-            state.lr,
-            state.beta1,
-            state.beta2,
-            state.eps,
-            wd,
-        )
+    kernels.adamw_update(
+        p,
+        grads.flat,
+        state.m,
+        state.v,
+        1.0 - state.beta1**state.t,
+        1.0 - state.beta2**state.t,
+        state.lr,
+        state.beta1,
+        state.beta2,
+        state.eps,
+        state.weight_decay,
+        no_decay=state.biases,
+        scratch=state.scratch,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +400,19 @@ def save_model(
     optimizer_state: OptimizerState | None = None,
 ) -> None:
     """Write a DNET checkpoint: config, optional mask, metadata, tensors,
-    and (when given) the full optimizer state for exact resumption."""
-    names = params.names()
+    and (when given) the full optimizer state for exact resumption.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so a failed write leaves any previous
+    checkpoint intact.
+    """
     header = {
         "config": params.cfg.to_dict(),
         "mask": mask.to_dict() if mask is not None else None,
         "meta": meta or {},
-        "layers": names,
+        "layers": params.names(),
     }
+    blobs = [params.flat]
     if optimizer_state is not None:
         header["optimizer"] = {
             "lr": optimizer_state.lr,
@@ -352,58 +422,31 @@ def save_model(
             "eps": optimizer_state.eps,
             "t": optimizer_state.t,
         }
+        blobs += [optimizer_state.m, optimizer_state.v]
     else:
         header["optimizer"] = None
-    blob = bytearray()
-    for name in names:
-        blob += np.ascontiguousarray(params.tensors[name], dtype="<f8").tobytes()
-    if optimizer_state is not None:
-        for store in (optimizer_state.m, optimizer_state.v):
-            for name in names:
-                blob += np.ascontiguousarray(store[name], dtype="<f8").tobytes()
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(bytes([_VERSION]))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(bytes(blob))
-
-
-def load_model(path) -> LoadedModel:
-    raw = Path(path).read_bytes()
-    if len(raw) < 9 or raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic, not a DNET model file")
-    if raw[4] != _VERSION:
-        raise FormatError(f"{path}: unsupported DNET version {raw[4]}")
-    (hlen,) = struct.unpack_from("<I", raw, 5)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        header = json.loads(raw[9 : 9 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: corrupt header: {e}") from None
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC + bytes([_VERSION]) + struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(np.ascontiguousarray(blob, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _parse_header(header) -> tuple:
+    """(config, optimizer state or None, mask or None, meta) from a DNET
+    header; raises KeyError, TypeError, ValueError or a DriftkitError if
+    it is malformed."""
     cfg = ModelConfig.from_dict(header["config"])
-    shapes = layer_shapes(cfg)
-    if header.get("layers") != [n for n, _ in shapes]:
-        raise FormatError(f"{path}: layer list does not match config topology")
-
-    offset = 9 + hlen
-    n_copies = 1 if header.get("optimizer") is None else 3
-    n_params = sum(int(np.prod(s)) for _, s in shapes)
-    expected = offset + 8 * n_params * n_copies
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-
-    def read_tensors():
-        nonlocal offset
-        out = {}
-        for name, shape in shapes:
-            count = int(np.prod(shape))
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            out[name] = arr.astype(np.float64).reshape(shape)
-            offset += 8 * count
-        return out
-
-    params = ModelParams(cfg, read_tensors())
+    if header["layers"] != [name for name, _ in layer_shapes(cfg)]:
+        raise ValueError("layer list does not match config topology")
     opt = None
     if header.get("optimizer") is not None:
         o = header["optimizer"]
@@ -415,10 +458,45 @@ def load_model(path) -> LoadedModel:
             eps=float(o["eps"]),
             t=int(o["t"]),
         )
-        opt.m = read_tensors()
-        opt.v = read_tensors()
     mask = FeatureMask.from_dict(header["mask"]) if header.get("mask") else None
-    return LoadedModel(params, mask, header.get("meta", {}), opt)
+    return cfg, opt, mask, header.get("meta", {})
+
+
+def load_model(path) -> LoadedModel:
+    """Read and validate a DNET checkpoint. Anything malformed, including
+    non-finite stored values, raises FormatError naming ``path``."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 9 or raw[:4] != _MAGIC:
+        raise FormatError(f"{path}: bad magic, not a DNET model file")
+    if raw[4] != _VERSION:
+        raise FormatError(f"{path}: unsupported DNET version {raw[4]}")
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    try:
+        header = json.loads(raw[9 : 9 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{path}: corrupt header: {e}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    try:
+        cfg, opt, mask, meta = _parse_header(header)
+    except KeyError as e:
+        raise FormatError(f"{path}: header is missing key {e}") from None
+    except (TypeError, ValueError, DriftkitError) as e:
+        raise FormatError(f"{path}: malformed header: {e}") from None
+
+    offset = 9 + hlen
+    n = param_count(cfg)
+    n_copies = 1 if opt is None else 3
+    expected = offset + 8 * n * n_copies
+    if len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
+    stored = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64)
+    if not np.isfinite(stored).all():
+        raise FormatError(f"{path}: stored tensors hold NaN or infinite values")
+    params = ModelParams(cfg, stored[:n])
+    if opt is not None:
+        opt.m, opt.v = stored[n : 2 * n], stored[2 * n :]
+    return LoadedModel(params, mask, meta, opt)
 
 
 def resize_input(cfg: ModelConfig, mask: FeatureMask) -> ModelConfig:

@@ -19,6 +19,7 @@ whether features are evaluated in order, shuffled, or across threads.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +48,8 @@ class PfiConfig:
             raise ConfigError(f"unknown importance metric {self.metric!r}")
         if self.n_repeats < 1:
             raise ConfigError("n_repeats must be >= 1")
+        if not math.isfinite(self.keep_threshold):
+            raise ConfigError(f"keep_threshold must be finite, got {self.keep_threshold}")
 
 
 @dataclass

@@ -11,6 +11,7 @@ you have, then measure decay on data from after the training window.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +65,11 @@ class TrainConfig:
             raise ConfigError("n_val must be >= 1")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0, 1)")
+        # written as ranges so that NaN, which fails every comparison, fails them too
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -159,6 +165,7 @@ def train(
         resolved_w0=loss_cfg.w0,
         resolved_w1=loss_cfg.w1,
     )
+    grads = ModelParams(model_cfg, np.empty_like(params.flat))
     best_params = params.copy()
     bad_epochs = 0
     Xtr, ytr = train_ds.features, train_ds.labels
@@ -184,7 +191,7 @@ def train(
                 )
             epoch_loss += value * len(idx)
             dz = loss_grad(z, yb, loss_cfg)
-            grads = backward(params, cache, dz)
+            backward(params, cache, dz, out=grads)
             adamw_step(params, grads, opt)
         hist.train_loss.append(epoch_loss / len(train_ds))
 
@@ -204,7 +211,7 @@ def train(
         if score > hist.best_score:
             hist.best_score = score
             hist.best_epoch = epoch
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -74,7 +74,7 @@ def test_01_loss_variant_reduction_identities(capsys):
                             w1=1.0, w0=1.0, weight_mode="uniform")
             for lam in lambdas
         }
-        # warm the jitted kernels so compile time is not billed as runtime
+        # warm up so one-time costs are not billed as runtime
         z0 = np.array([0.3, -1.2])
         y0 = np.array([1.0, 0.0])
         bce(z0, y0)

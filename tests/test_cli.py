@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import subprocess
 
 import pytest
@@ -253,6 +254,91 @@ def test_empty_mask_exit_code_still_writes_report(workdir, tmp_path, capsys):
     assert "keep threshold" in capsys.readouterr().err
     assert (out / "pfi_report.csv").is_file()
     assert not (out / "mask.json").exists()
+
+
+def _split_dnet(raw):
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    return json.loads(raw[9 : 9 + hlen]), raw[9 + hlen :]
+
+
+def _join_dnet(raw, header, payload):
+    hb = json.dumps(header).encode()
+    return raw[:5] + struct.pack("<I", len(hb)) + hb + payload
+
+
+def _with_header(edit):
+    def corrupt(raw):
+        header, payload = _split_dnet(raw)
+        return _join_dnet(raw, edit(header), payload)
+    return corrupt
+
+
+def _drop_config_key(header):
+    del header["config"]["trunk_width"]
+    return header
+
+
+def _poke_tensor(index, value):
+    def corrupt(raw):
+        header, payload = _split_dnet(raw)
+        stored = bytearray(payload)
+        struct.pack_into("<d", stored, 8 * index, value)
+        return _join_dnet(raw, header, bytes(stored))
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_with_header(lambda h: [h]), "not a JSON object"),
+    (_with_header(_drop_config_key), "trunk_width"),
+    (_with_header(lambda h: {k: v for k, v in h.items() if k != "config"}), "config"),
+    (_with_header(lambda h: {**h, "mask": [0, 1]}), "malformed header"),
+    (_with_header(lambda h: {**h, "config": {**h["config"], "trunk_width": "wide"}}),
+     "malformed header"),
+    (_poke_tensor(0, float("nan")), "NaN or infinite"),
+    (_poke_tensor(-1, float("inf")), "NaN or infinite"),
+    (_poke_tensor(7, float("-inf")), "NaN or infinite"),
+], ids=["header-list", "missing-config-key", "missing-config", "mask-list",
+        "bad-config-value", "nan-first-weight", "inf-last-bias", "neg-inf-weight"])
+def test_eval_rejects_malformed_checkpoint(workdir, tmp_path, capsys, corrupt, message):
+    out = tmp_path / "o"
+    out.mkdir()
+    model_path = out / "model.dnet"
+    model_path.write_bytes(corrupt((workdir["run"] / "model.dnet").read_bytes()))
+    cfg = dict(workdir["cfg"], out_dir=str(out))
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["eval", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert str(model_path) in err and message in err
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "lr", 0.0),
+    ("train", "lr", -1e-3),
+    ("train", "lr", float("nan")),
+    ("train", "lr", float("inf")),
+    ("train", "weight_decay", -1e-4),
+    ("train", "weight_decay", float("nan")),
+    ("train", "weight_decay", float("inf")),
+    ("loss", "lam", float("nan")),
+    ("loss", "lam", float("inf")),
+    ("loss", "p_fn", float("nan")),
+    ("eval", "epsilon", float("nan")),
+    ("eval", "epsilon", float("inf")),
+    ("pfi", "keep_threshold", float("nan")),
+])
+def test_train_rejects_bad_hyperparameter_at_config_time(
+    workdir, tmp_path, capsys, section, key, value
+):
+    cfg = json.loads(json.dumps(workdir["cfg"]))
+    cfg["out_dir"] = str(tmp_path / "o")
+    cfg.setdefault(section, {})[key] = value
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))  # NaN/Infinity literals, which json.loads accepts
+    assert main(["train", "--config", str(p)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "model.dnet").exists()
 
 
 def test_synth_errors(tmp_path):

@@ -158,7 +158,7 @@ def saturated_params():
     cfg = ModelConfig(input_dim=2, trunk_width=2, n_residual_blocks=0,
                       dropout_rate=0.0, head_widths=())
     # relu pair encodes identity of feature 0: h = [relu(x0), relu(-x0)]
-    return ModelParams(cfg, {
+    return ModelParams.from_tensors(cfg, {
         "entry.W": np.array([[30.0, -30.0], [0.0, 0.0]]),
         "entry.b": np.zeros(2),
         "out.W": np.array([[1.0], [-1.0]]),

@@ -21,6 +21,7 @@ from driftkit.model import (
     predict_proba,
     resize_input,
     save_model,
+    tensor_views,
 )
 from driftkit.numerics import make_rng, sigmoid
 
@@ -123,7 +124,7 @@ def test_forward_single_linear_path_hand_computed():
     # 1 input, trunk 1, no blocks/heads: z = relu(x*w + b)*w_out + b_out
     cfg = ModelConfig(input_dim=1, trunk_width=1, n_residual_blocks=0,
                       dropout_rate=0.0, head_widths=())
-    params = ModelParams(cfg, {
+    params = ModelParams.from_tensors(cfg, {
         "entry.W": np.array([[2.0]]),
         "entry.b": np.array([0.5]),
         "out.W": np.array([[-3.0]]),
@@ -275,6 +276,7 @@ def test_adamw_step_matches_reference_and_skips_bias_decay():
     before = params.copy()
     adamw_step(params, grads, state)
     assert state.t == 1
+    m, v = tensor_views(params.cfg, state.m), tensor_views(params.cfg, state.v)
     for name in params.names():
         wd = 0.1 if name.rsplit(".", 1)[1].startswith("W") else 0.0
         want_p, want_m, want_v = reference_adamw(
@@ -283,8 +285,8 @@ def test_adamw_step_matches_reference_and_skips_bias_decay():
             1, 0.01, 0.9, 0.999, 1e-8, wd,
         )
         np.testing.assert_allclose(params.tensors[name], want_p, rtol=1e-14)
-        np.testing.assert_allclose(state.m[name], want_m, rtol=1e-14)
-        np.testing.assert_allclose(state.v[name], want_v, rtol=1e-14)
+        np.testing.assert_allclose(m[name], want_m, rtol=1e-14)
+        np.testing.assert_allclose(v[name], want_v, rtol=1e-14)
 
 
 def test_adamw_step_validates_gradients():
@@ -324,9 +326,81 @@ def test_save_load_with_optimizer(tmp_path):
     assert loaded.optimizer_state is not None
     assert loaded.optimizer_state.t == 1
     assert loaded.optimizer_state.lr == 0.02
+    assert np.array_equal(loaded.optimizer_state.m, state.m)
+    assert np.array_equal(loaded.optimizer_state.v, state.v)
+
+
+def test_tensors_are_views_of_one_flat_vector_in_layer_order(tmp_path):
+    params = tiny_model(input_dim=3, trunk=5, blocks=1, heads=(4,), seed=3)
+    assert np.array_equal(
+        params.flat, np.concatenate([params.tensors[n].ravel() for n, _ in
+                                     layer_shapes(params.cfg)]))
+    params.tensors["head0.b"][2] = 7.5
+    assert 7.5 in params.flat
+    copy = params.copy()
+    copy.tensors["entry.W"][0, 0] += 1.0
+    assert copy.flat[0] != params.flat[0]
+    # the checkpoint blob is the flat vector's bytes
+    path = tmp_path / "m.dnet"
+    save_model(params, path)
+    assert path.read_bytes().endswith(params.flat.astype("<f8").tobytes())
+    with pytest.raises(ShapeError):
+        ModelParams(params.cfg, params.flat[:-1])
+
+
+def test_backward_writes_into_gradient_buffer():
+    params = tiny_model(seed=4)
+    X = make_rng(0).standard_normal((5, 4))
+    z, cache = forward(params, X)
+    fresh = backward(params, cache, z)
+    buf = ModelParams(params.cfg, np.full_like(params.flat, np.nan))
+    grads = backward(params, cache, z, out=buf)
     for name in params.names():
-        assert np.array_equal(loaded.optimizer_state.m[name], state.m[name])
-        assert np.array_equal(loaded.optimizer_state.v[name], state.v[name])
+        assert np.shares_memory(grads[name], buf.flat)
+        assert np.array_equal(grads[name], fresh[name])
+    before = params.copy()
+    state = init_optimizer(params, lr=0.01, weight_decay=0.1)
+    adamw_step(params, buf, state)
+    adamw_step(before, fresh, init_optimizer(before, lr=0.01, weight_decay=0.1))
+    assert np.array_equal(params.flat, before.flat)
+
+
+def test_failed_save_leaves_previous_checkpoint_intact(tmp_path, monkeypatch):
+    path = tmp_path / "model.dnet"
+    save_model(tiny_model(seed=1), path)
+    good = path.read_bytes()
+
+    real_open = open
+
+    class DiskFull:
+        """File that accepts 64 bytes and then fails, like a full disk."""
+
+        def __init__(self, *args):
+            self.fh = real_open(*args)
+            self.room = 64
+
+        def write(self, data):
+            n = memoryview(data).nbytes
+            if n > self.room:
+                raise OSError(28, "No space left on device")
+            self.room -= n
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    import driftkit.model as model_module
+
+    monkeypatch.setattr(model_module, "open", DiskFull, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_model(tiny_model(seed=2), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.dnet"]
+    assert np.array_equal(load_model(path).params.flat, tiny_model(seed=1).flat)
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -1,0 +1,55 @@
+"""The benchmark tracer (``perfbench/spans.py``) rebinds driftkit names
+from outside. If a refactor renames one of them, or calls a traced
+function in a form its wrapper does not accept, tracing breaks; these
+tests catch that here instead of in a benchmark run. The benchmark
+itself is not run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from driftkit import kernels, model, training
+from driftkit.model import ModelConfig
+from driftkit.training import TrainConfig
+
+from conftest import make_dataset
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    t = spans.Tracer()
+    yield t
+    t.uninstall()
+
+
+def test_tracer_installs_and_uninstalls(tracer):
+    originals = (kernels.adamw_update, kernels.sigmoid, model.matmul, training.forward)
+    tracer.install()
+    assert kernels.adamw_update is not originals[0]
+    tracer.uninstall()
+    assert (kernels.adamw_update, kernels.sigmoid, model.matmul, training.forward) == originals
+    assert isinstance(kernels.backend(), str)
+
+
+def test_training_runs_under_the_tracer(tracer):
+    ds = make_dataset(n=60, dim=4)
+    cfg = ModelConfig(input_dim=4, trunk_width=8, n_residual_blocks=1, head_widths=(4,))
+    tcfg = TrainConfig(n_val=20, batch_size=16, max_epochs=2, patience=2, lr=1e-2)
+    plain, _ = training.train(ds, cfg, tcfg)
+    tracer.install()
+    traced, _ = training.train(ds, cfg, tcfg)
+    tracer.uninstall()
+    assert np.array_equal(plain.flat, traced.flat)
+    calls = tracer.aggregate(0)
+    steps = calls["model.adamw_step"]["calls"]
+    assert steps == 2 * 3
+    assert calls["kernels.adamw_update"]["calls"] == steps
+    assert calls["numerics.matmul.train_bwd"]["calls"] > 0

@@ -37,7 +37,7 @@ def single_feature_model():
     """Prediction = sign of feature 0; features 1.. are ignored."""
     cfg = ModelConfig(input_dim=3, trunk_width=2, n_residual_blocks=0,
                       dropout_rate=0.0, head_widths=())
-    return ModelParams(cfg, {
+    return ModelParams.from_tensors(cfg, {
         "entry.W": np.array([[8.0, -8.0], [0.0, 0.0], [0.0, 0.0]]),
         "entry.b": np.zeros(2),
         "out.W": np.array([[1.0], [-1.0]]),
