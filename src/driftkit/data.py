@@ -36,15 +36,6 @@ _VERSION = 1
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One labeled observation: feature vector, 0/1 label, epoch timestamp."""
-
-    features: np.ndarray
-    label: int
-    timestamp: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n, feature_dim) float64
     labels: np.ndarray  # (n,) uint8, values in {0, 1}
@@ -73,9 +64,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.features[i], int(self.labels[i]), int(self.timestamps[i]))
 
     def subset(self, idx, name: str | None = None) -> "Dataset":
         idx = np.asarray(idx)
@@ -112,10 +100,14 @@ class FeatureMask:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMask":
+        if not isinstance(d, dict):
+            raise FormatError("feature mask is not a JSON object")
         try:
             return cls(tuple(d["kept_indices"]), int(d["original_dim"]))
         except KeyError as e:
             raise FormatError(f"feature mask file missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"malformed feature mask: {e}") from None
 
     def save(self, path, extra: dict | None = None) -> None:
         doc = self.to_dict()
@@ -128,7 +120,9 @@ class FeatureMask:
         try:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except json.JSONDecodeError as e:
-            raise FormatError(f"feature mask file is not valid JSON: {e}") from None
+            raise FormatError(f"{path}: feature mask file is not valid JSON: {e}") from None
+        except FormatError as e:
+            raise FormatError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +179,10 @@ def _load_jsonl(path: Path) -> Dataset:
                 feats = obj["features"]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"{path}: {e}", row=lineno) from None
+            if not isinstance(feats, list) or not all(
+                isinstance(v, (int, float)) for v in feats
+            ):
+                raise ParseError(f"{path}: features must be a list of numbers", row=lineno)
             if width is None:
                 width = len(feats)
             elif len(feats) != width:
@@ -328,32 +326,32 @@ def month_label(year: int, month: int) -> str:
     return f"{year:04d}-{month:02d}"
 
 
-def _next_month(ym: tuple[int, int]) -> tuple[int, int]:
-    y, m = ym
-    return (y + 1, 1) if m == 12 else (y, m + 1)
+# bucket_by_month's month range, as months since 1970-01: 0001-01 .. 9999-12
+_FIRST_MONTH = (1 - 1970) * 12
+_LAST_MONTH = (9999 - 1970) * 12 + 11
 
 
 def bucket_by_month(ds: Dataset) -> list[tuple[str, Dataset]]:
     """Split into UTC calendar-month buckets, ascending, including empty
-    months between the first and last occupied ones."""
+    months between the first and last occupied ones. A timestamp outside
+    the years 1-9999 raises DataError."""
     if len(ds) == 0:
         return []
     order = np.argsort(ds.timestamps, kind="stable")
-    months = [month_of(ds.timestamps[i]) for i in order]
-    first, last = months[0], months[-1]
-    groups: dict[tuple[int, int], list[int]] = {}
-    ym = first
-    while True:
-        groups[ym] = []
-        if ym == last:
-            break
-        ym = _next_month(ym)
-    for pos, ym in zip(order, months):
-        groups[ym].append(pos)
+    # months since 1970-01, ascending along ``order``
+    months = ds.timestamps[order].astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+    for end in (0, -1):
+        if not _FIRST_MONTH <= months[end] <= _LAST_MONTH:
+            raise DataError(
+                f"{ds.name or 'dataset'}: timestamp {ds.timestamps[order[end]]} "
+                "lies outside the years 1-9999"
+            )
+    first, last = int(months[0]), int(months[-1])
+    edges = np.searchsorted(months, np.arange(first, last + 2))
     out = []
-    for ym, idx in groups.items():
-        label = month_label(*ym)
-        out.append((label, ds.subset(np.array(idx, dtype=np.int64), name=f"{ds.name}/{label}")))
+    for m, lo, hi in zip(range(first, last + 1), edges, edges[1:]):
+        label = month_label(1970 + m // 12, m % 12 + 1)
+        out.append((label, ds.subset(order[lo:hi], name=f"{ds.name}/{label}")))
     return out
 
 

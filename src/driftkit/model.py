@@ -26,7 +26,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -299,9 +299,56 @@ def backward(
     return grads
 
 
+# Rows per inference block: big enough for BLAS to run at full speed, small
+# enough that each block's activations stay resident instead of being
+# allocated and page-faulted afresh on every call.
+_BLOCK_ROWS = 256
+# OpenBLAS multiplies a product of at most this many multiply-adds with a
+# small-matrix kernel whose summation order can differ from its blocked
+# GEMM, so a row block must stay above it wherever the whole product does.
+_SMALL_GEMM = 100**3
+
+
+def _dense_relu(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = matmul(h, W)
+    a += b
+    return np.maximum(a, 0.0, out=a)
+
+
 def predict_logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    z, _ = forward(params, X, mode="eval")
-    return z
+    """Eval-mode logits, equal bit for bit to ``forward(params, X, "eval")[0]``.
+
+    Builds no cache and walks the rows in blocks of at least
+    ``_BLOCK_ROWS``, with biases and ReLUs applied in place. Three rules
+    keep the bits equal to the unblocked ``forward`` on OpenBLAS:
+    - the last block absorbs the remainder, so no block is smaller than
+      the block size;
+    - the block size grows, for narrow layers, until every hidden product
+      of a block exceeds ``_SMALL_GEMM`` multiply-adds;
+    - the single-column output product runs once over all rows.
+    Holds no state, so threads may call it at once.
+    """
+    cfg = params.cfg
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != cfg.input_dim:
+        raise ShapeError(f"input must be (batch, {cfg.input_dim}), got {X.shape}")
+    t = params.tensors
+    n = X.shape[0]
+    narrowest = min(W.size for name, W in t.items() if _is_weight(name) and name != "out.W")
+    rows = max(_BLOCK_ROWS, _SMALL_GEMM // narrowest + 1)
+    bounds = [i * rows for i in range(max(1, n // rows))] + [n]
+    H = np.empty((n, t["out.W"].shape[0]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        h = _dense_relu(X[lo:hi], t["entry.W"], t["entry.b"])
+        for k in range(cfg.n_residual_blocks):
+            v = matmul(_dense_relu(h, t[f"block{k}.W1"], t[f"block{k}.b1"]), t[f"block{k}.W2"])
+            v += t[f"block{k}.b2"]
+            v += h
+            h = np.maximum(v, 0.0, out=v)
+        for j in range(len(cfg.head_widths)):
+            h = _dense_relu(h, t[f"head{j}.W"], t[f"head{j}.b"])
+        H[lo:hi] = h
+    return (matmul(H, t["out.W"]) + t["out.b"]).ravel()
 
 
 def predict_proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -497,9 +544,3 @@ def load_model(path) -> LoadedModel:
     if opt is not None:
         opt.m, opt.v = stored[n : 2 * n], stored[2 * n :]
     return LoadedModel(params, mask, meta, opt)
-
-
-def resize_input(cfg: ModelConfig, mask: FeatureMask) -> ModelConfig:
-    """Config for retraining after feature reduction: the input layer
-    shrinks to the kept-feature count, everything else is unchanged."""
-    return replace(cfg, input_dim=len(mask))

@@ -16,24 +16,11 @@ from . import kernels
 from .errors import ConfigError, ShapeError
 
 Matrix = np.ndarray
-RNG_ALGORITHM = "pcg64"
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator. Same seed, same sequence, everywhere."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> Matrix:
-    """Coerce to a 2-D C-order float64 array, checking shape if given."""
-    a = np.ascontiguousarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if rows is not None and a.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ShapeError(f"expected {cols} cols, got {a.shape[1]}")
-    return a
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -82,12 +69,3 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Matrix:
         return np.ones(shape, dtype=np.float64)
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
-
-
-def ensure_finite(a: np.ndarray, context: str) -> np.ndarray:
-    """Raise if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(a)):
-        from .errors import NumericError
-
-        raise NumericError(f"non-finite values in {context}")
-    return a

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import calendar
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,6 +41,10 @@ DRIFT_SHAPES = ("sudden", "gradual", "incremental", "recurrent")
 
 # tag mixed into the seed stream that picks the informative column subset
 _IDX_STREAM = 101
+
+_INT_FIELDS = ("n_months", "samples_per_month", "feature_dim", "n_informative",
+               "drift_month", "seed", "recurrent_period")
+_REAL_FIELDS = ("drift_magnitude", "class_balance", "informative_scale")
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,16 @@ class DriftSpec:
     start_month: str = "2021-01"
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.start_month, str):
+            raise ConfigError(f"start_month must be a string, got {self.start_month!r}")
         if self.shape not in DRIFT_SHAPES:
             raise ConfigError(f"unknown drift shape {self.shape!r}")
         if self.n_months < 1 or self.samples_per_month < 1:

@@ -6,8 +6,10 @@ import subprocess
 import pytest
 
 from driftkit.cli import main
-from driftkit.data import FeatureMask, load_dataset
+from driftkit.data import Dataset, FeatureMask, load_dataset, save_dataset
+from driftkit.errors import ConfigError
 from driftkit.model import load_model
+from driftkit.synthdrift import DriftSpec
 
 DRIFT_SPEC = {
     "shape": "sudden",
@@ -339,6 +341,75 @@ def test_train_rejects_bad_hyperparameter_at_config_time(
     assert main(["train", "--config", str(p)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o" / "model.dnet").exists()
+
+
+def _jsonl_train(bad_row):
+    """data.train is a JSONL file whose third row is ``bad_row``."""
+    def setup(cfg, tmp_path):
+        good = {"ts": 1_609_459_200, "label": 0, "features": [0.0] * 6}
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in (good, good, bad_row)) + "\n")
+        cfg["data"]["train"] = str(path)
+        return path
+    return setup
+
+
+def _mask_file(doc):
+    def setup(cfg, tmp_path):
+        path = tmp_path / "mask.json"
+        path.write_text(json.dumps(doc))
+        cfg["data"]["mask"] = str(path)
+        return path
+    return setup
+
+
+def _eval_stream_with_timestamp(ts):
+    def setup(cfg, tmp_path):
+        ds = load_dataset(cfg["data"]["eval"])
+        stamps = ds.timestamps.copy()
+        stamps[-1] = ts
+        path = tmp_path / "far_future.dset"
+        save_dataset(Dataset(ds.features, ds.labels, stamps), path)
+        cfg["data"]["eval"] = str(path)
+        return "far_future"
+    return setup
+
+
+@pytest.mark.parametrize("command, setup, message", [
+    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 1, "features": 5}), "row 3: "),
+    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 1, "features": [0.0] * 5 + ["x"]}),
+     "row 3: "),
+    ("train", _mask_file([0, 1]), "not a JSON object"),
+    ("eval", _eval_stream_with_timestamp(253_402_300_800),
+     "timestamp 253402300800 lies outside the years 1-9999"),
+], ids=["jsonl-scalar-features", "jsonl-string-feature", "mask-list", "eval-year-10000"])
+def test_malformed_input_exits_3_naming_it(workdir, tmp_path, capsys, command, setup, message):
+    cfg = json.loads(json.dumps(workdir["cfg"]))
+    out = tmp_path / "o"
+    out.mkdir()
+    shutil.copy(workdir["run"] / "model.dnet", out / "model.dnet")
+    cfg["out_dir"] = str(out)
+    named = setup(cfg, tmp_path)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert str(named) in err and message in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_informative", "3"),
+    ("seed", 1.5),
+    ("drift_magnitude", float("nan")),
+    ("start_month", 202101),
+])
+def test_synth_rejects_wrongly_typed_spec_field(tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError, match=key):
+        DriftSpec(**{key: value})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**DRIFT_SPEC, key: value}))
+    assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "s")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_synth_errors(tmp_path):

@@ -43,10 +43,6 @@ def test_dataset_accessors(toy_dataset):
     ds = toy_dataset
     assert len(ds) == 40
     assert ds.feature_dim == 4
-    s = ds[3]
-    assert np.array_equal(s.features, ds.features[3])
-    assert s.label == int(ds.labels[3])
-    assert s.timestamp == int(ds.timestamps[3])
     sub = ds.subset([1, 5, 7])
     assert len(sub) == 3
     assert np.array_equal(sub.features, ds.features[[1, 5, 7]])
@@ -257,6 +253,51 @@ def test_bucket_by_month_year_boundary_and_order():
     jan_bucket = buckets[1][1]
     # chronological inside the bucket
     assert jan_bucket.timestamps.tolist() == [jan, jan + 5]
+
+
+def per_row_buckets(ds):
+    """The former per-row bucketing: one ``datetime`` per sample."""
+    order = np.argsort(ds.timestamps, kind="stable")
+    months = [month_of(ds.timestamps[i]) for i in order]
+    groups, ym = {}, months[0]
+    while True:
+        groups[ym] = []
+        if ym == months[-1]:
+            break
+        ym = (ym[0] + 1, 1) if ym[1] == 12 else (ym[0], ym[1] + 1)
+    for pos, ym in zip(order, months):
+        groups[ym].append(pos)
+    return [(month_label(*ym), idx) for ym, idx in groups.items()]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1_600_000_000, 1_700_000_000),  # recent decades
+    (-2_000_000_000, 2_000_000_000),  # across 1970, negative timestamps
+    (-62_135_596_800, -62_000_000_000),  # from 0001-01-01 00:00:00
+    (253_300_000_000, 253_402_300_799),  # to 9999-12-31 23:59:59
+])
+def test_bucket_by_month_matches_per_row_datetime(lo, hi):
+    rng = np.random.default_rng(lo & 0xFFFF)
+    ts = rng.integers(lo, hi, size=3000, endpoint=True)
+    ts[:2] = lo, hi
+    ds = Dataset(rng.standard_normal((ts.size, 2)), np.zeros(ts.size, dtype=np.uint8), ts,
+                 name="r")
+    got = bucket_by_month(ds)
+    want = per_row_buckets(ds)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, b), (_, idx) in zip(got, want):
+        assert b.name == f"r/{label}"
+        assert np.array_equal(b.timestamps, ts[idx])
+        assert np.array_equal(b.features, ds.features[idx])
+
+
+@pytest.mark.parametrize("ts", [-62_135_596_801, 253_402_300_800, np.iinfo(np.int64).min,
+                                np.iinfo(np.int64).max])
+def test_bucket_by_month_rejects_years_outside_1_to_9999(ts):
+    ds = Dataset(np.zeros((2, 1)), np.zeros(2, dtype=np.uint8), np.array([0, ts]),
+                 name="far")
+    with pytest.raises(DataError, match=f"far: timestamp {ts} "):
+        bucket_by_month(ds)
 
 
 def test_bucket_by_month_empty_dataset():

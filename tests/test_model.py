@@ -19,7 +19,6 @@ from driftkit.model import (
     load_model,
     predict_logits,
     predict_proba,
-    resize_input,
     save_model,
     tensor_views,
 )
@@ -255,6 +254,41 @@ def test_predict_proba_is_sigmoid_of_logits():
     np.testing.assert_array_equal(predict_proba(params, X), sigmoid(predict_logits(params, X)))
 
 
+# (input_dim, trunk_width, n_residual_blocks, head_widths)
+INFERENCE_TOPOLOGIES = {
+    "pipeline_default": (30, 512, 2, (128,)),
+    "train_small_batch": (30, 64, 2, (32,)),
+    "score_wide": (120, 256, 1, (64,)),
+    "tiny": (4, 8, 1, (6,)),
+    "no_blocks_no_heads": (7, 16, 0, ()),
+    "two_heads": (9, 32, 1, (24, 12)),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 255, 256, 257, 511, 512, 513, 1500, 3000, 4000])
+@pytest.mark.parametrize("topology", list(INFERENCE_TOPOLOGIES))
+def test_blocked_inference_is_bit_identical_to_forward(topology, n):
+    """The row-blocked, cache-free ``predict_logits`` must give exactly the
+    bits of the unblocked eval ``forward``, on block edges and remainders.
+
+    Equality holds on the OpenBLAS float64 build the benchmark uses. A BLAS
+    that rounds a row block's product differently from the whole product
+    could break it, as it would the digest in ``tests/test_golden.py``.
+    """
+    d, width, blocks, heads = INFERENCE_TOPOLOGIES[topology]
+    cfg = ModelConfig(input_dim=d, trunk_width=width, n_residual_blocks=blocks,
+                      head_widths=heads)
+    params = init_model(cfg, seed=3)
+    rng = make_rng(n)
+    for name, t in params.tensors.items():
+        if ".b" in name:  # init leaves biases at zero; make the bias adds count
+            t[...] = 0.1 * rng.standard_normal(t.shape)
+    X = rng.standard_normal((n, d))
+    z = predict_logits(params, X)
+    assert z.shape == (n,)
+    assert np.array_equal(z, forward(params, X, "eval")[0])
+
+
 def reference_adamw(p, g, m, v, t, lr, b1, b2, eps, wd):
     """Scalar-loop AdamW reference used to cross-check the kernel path."""
     p, g, m, v = (np.array(a, dtype=np.float64) for a in (p, g, m, v))
@@ -446,10 +480,3 @@ def test_load_rejects_tampered_layer_list(tmp_path):
     with pytest.raises(FormatError, match="layer"):
         load_model(path)
 
-
-def test_resize_input():
-    cfg = ModelConfig(input_dim=10, trunk_width=8, n_residual_blocks=1, head_widths=(4,))
-    small = resize_input(cfg, FeatureMask((0, 4, 9), 10))
-    assert small.input_dim == 3
-    assert small.trunk_width == 8
-    assert small.head_widths == (4,)

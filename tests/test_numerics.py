@@ -2,11 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from driftkit.errors import ConfigError, NumericError, ShapeError
+from driftkit.errors import ConfigError, ShapeError
 from driftkit.numerics import (
-    as_matrix,
     dropout_mask,
-    ensure_finite,
     make_rng,
     matmul,
     relu,
@@ -71,15 +69,6 @@ def test_matmul_matches_numpy_and_checks_shapes():
         matmul(a, rng.standard_normal(4))
 
 
-def test_as_matrix():
-    m = as_matrix([[1, 2], [3, 4]], rows=2, cols=2)
-    assert m.dtype == np.float64 and m.shape == (2, 2)
-    with pytest.raises(ShapeError):
-        as_matrix([1, 2, 3])
-    with pytest.raises(ShapeError):
-        as_matrix([[1, 2]], rows=2)
-
-
 def test_dropout_mask_values_and_rate():
     rng = make_rng(7)
     mask = dropout_mask((200, 50), 0.3, rng)
@@ -105,10 +94,3 @@ def test_dropout_mask_rejects_bad_rate():
     with pytest.raises(ConfigError):
         dropout_mask((2, 2), -0.1, make_rng(0))
 
-
-def test_ensure_finite():
-    ensure_finite(np.array([1.0, 2.0]), "ok")
-    with pytest.raises(NumericError, match="logits"):
-        ensure_finite(np.array([1.0, np.nan]), "logits")
-    with pytest.raises(NumericError):
-        ensure_finite(np.array([np.inf]), "x")

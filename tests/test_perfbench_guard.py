@@ -13,6 +13,7 @@ import pytest
 
 from driftkit import kernels, model, training
 from driftkit.model import ModelConfig
+from driftkit.pfi import PfiConfig, run_pfi
 from driftkit.training import TrainConfig
 
 from conftest import make_dataset
@@ -53,3 +54,26 @@ def test_training_runs_under_the_tracer(tracer):
     assert steps == 2 * 3
     assert calls["kernels.adamw_update"]["calls"] == steps
     assert calls["numerics.matmul.train_bwd"]["calls"] > 0
+
+
+def test_pfi_under_the_tracer_keeps_bytes_and_counts_every_flop(tracer):
+    """Blocked inference splits each scored matrix into several traced
+    matmul calls; the importances must not change, and the summed FLOP
+    count must still be that of one unblocked pass per scored matrix."""
+    ds = make_dataset(n=700, dim=8, seed=4)
+    cfg = ModelConfig(input_dim=8, trunk_width=512, n_residual_blocks=1, head_widths=(8,))
+    params = model.init_model(cfg, seed=5)
+    pcfg = PfiConfig(n_repeats=2, keep_threshold=-1.0)
+    _, plain = run_pfi(params, ds.features, ds.labels, pcfg, n_threads=1)
+    tracer.install()
+    _, traced = run_pfi(params, ds.features, ds.labels, pcfg, n_threads=1)
+    tracer.uninstall()
+    assert plain.importances.tobytes() == traced.importances.tobytes()
+
+    passes = 1 + cfg.input_dim * pcfg.n_repeats
+    weights = [shape for name, shape in model.layer_shapes(cfg) if ".W" in name]
+    flops_per_pass = sum(2.0 * len(ds) * k * m for k, m in weights)
+    span = tracer.aggregate(0)["numerics.matmul.pfi"]
+    assert span["count"] == passes * flops_per_pass
+    # 700 rows are two blocks here, so each pass makes more calls than layers
+    assert span["calls"] > passes * len(weights)

@@ -3,7 +3,7 @@ import pytest
 
 from driftkit.data import Dataset
 from driftkit.errors import ConfigError, EmptyMaskError, ShapeError
-from driftkit.model import ModelConfig, ModelParams, predict_proba
+from driftkit.model import ModelConfig, ModelParams, init_model, predict_proba
 from driftkit.pfi import (
     PfiConfig,
     column_importance,
@@ -97,6 +97,18 @@ def test_threaded_matches_serial():
     mask4, rep4 = run_pfi(params, X, y, cfg, n_threads=4)
     assert np.array_equal(rep1.importances, rep4.importances)
     assert mask1 == mask4
+
+
+def test_threaded_matches_serial_on_row_blocks():
+    """Wide enough that each of the 700-row scorings runs as two inference
+    blocks, so the pool's threads run blocked inference side by side."""
+    cfg = ModelConfig(input_dim=3, trunk_width=512, n_residual_blocks=1, head_widths=(8,))
+    params = init_model(cfg, seed=0)
+    X, y = signal_data(n=700, seed=2)
+    pcfg = PfiConfig(n_repeats=3, seed=4, keep_threshold=-1.0)
+    _, serial = run_pfi(params, X, y, pcfg, n_threads=1)
+    _, threaded = run_pfi(params, X, y, pcfg, n_threads=4)
+    assert serial.importances.tobytes() == threaded.importances.tobytes()
 
 
 def test_run_pfi_leaves_inputs_untouched():
