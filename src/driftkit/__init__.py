@@ -44,7 +44,6 @@ from .evaluation import (
     MetricsReport,
     detect_drift,
     evaluate_buckets,
-    evaluate_dataset,
 )
 from .losses import LossConfig, class_weights, loss_grad, loss_value
 from .model import (
@@ -92,7 +91,6 @@ __all__ = [
     "compose_masks",
     "detect_drift",
     "evaluate_buckets",
-    "evaluate_dataset",
     "forward",
     "generate_stream",
     "init_model",

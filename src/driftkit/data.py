@@ -23,7 +23,6 @@ import csv
 import json
 import struct
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -315,11 +314,6 @@ def split_recent(ds: Dataset, n_val: int) -> tuple[Dataset, Dataset]:
         ds.subset(order[:-n_val], name=ds.name + "/train"),
         ds.subset(order[-n_val:], name=ds.name + "/val"),
     )
-
-
-def month_of(ts: int) -> tuple[int, int]:
-    d = datetime.fromtimestamp(int(ts), tz=timezone.utc)
-    return d.year, d.month
 
 
 def month_label(year: int, month: int) -> str:

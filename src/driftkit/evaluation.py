@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParams, predict_proba
 
@@ -169,12 +168,6 @@ def evaluate_buckets(
     if not rows_nonempty:
         raise DataError("all evaluation buckets are empty")
     return MetricsReport(rows, _row_from_confusion("all", pooled), threshold)
-
-
-def evaluate_dataset(params: ModelParams, ds: Dataset, threshold: float = 0.5) -> BucketRow:
-    """Single-bucket convenience wrapper."""
-    probs = predict_proba(params, ds.features)
-    return _row_from_confusion(ds.name or "all", confusion(probs, ds.labels, threshold))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,12 @@ def loss_grad(z, y, a1, a0, lam) -> np.ndarray:
     return (-a1 * y * q + a0 * (1.0 - y) * p + lam * z) / z.size
 
 
+# Entries per AdamW slice. The update makes ~17 passes over its vectors;
+# at this size one slice of p, g, m, v and both scratch vectors (3 MiB)
+# stays in cache across them, instead of every pass streaming from memory.
+ADAMW_SLICE = 65536
+
+
 def adamw_update(p, g, m, v, c1, c2, lr, beta1, beta2, eps, wd,
                  no_decay=None, scratch=None) -> None:
     """One AdamW step, in place on flat float64 vectors:
@@ -61,29 +67,46 @@ def adamw_update(p, g, m, v, c1, c2, lr, beta1, beta2, eps, wd,
 
     c1/c2 are the bias corrections 1 - beta**t, precomputed by the caller.
     The decay step is skipped when wd == 0, and for the entries that
-    ``no_decay`` indexes (the biases): they subtract an exact +0.0, which
-    leaves every float unchanged. ``scratch``, two float64 vectors of p's
-    size, avoids allocating temporaries on every call. The operation
-    order is fixed, so a whole model updated in one call gets the same
-    bits as each tensor updated on its own.
+    ``no_decay`` (sorted) indexes, the biases: they subtract an exact +0.0,
+    which leaves every float unchanged.
+
+    The vectors are walked in slices of ``ADAMW_SLICE`` entries, each
+    taken through the whole sequence above before the next. Every entry
+    depends on that entry alone and sees the same operations in the same
+    order, so the bits equal one pass over the whole vectors, or one call
+    per tensor. ``scratch``, two float64 vectors of at least
+    min(p.size, ADAMW_SLICE) entries, avoids allocating on every call.
     """
-    a, b = scratch if scratch is not None else (np.empty_like(p), np.empty_like(p))
-    m *= beta1
-    np.multiply(g, 1.0 - beta1, out=a)
-    m += a
-    v *= beta2
-    np.multiply(g, 1.0 - beta2, out=a)
-    a *= g
-    v += a
-    np.divide(v, c2, out=a)
-    np.sqrt(a, out=a)
-    a += eps
-    np.divide(m, c1, out=b)
-    b /= a
-    b *= lr
-    p -= b
-    if wd != 0.0:
-        np.multiply(p, lr * wd, out=a)
-        if no_decay is not None:
-            a[no_decay] = 0.0
-        p -= a
+    n = p.size
+    if scratch is None:
+        scratch = (np.empty(min(n, ADAMW_SLICE)), np.empty(min(n, ADAMW_SLICE)))
+    starts = range(0, n, ADAMW_SLICE)
+    if no_decay is None or len(starts) == 1:
+        skips = [no_decay] * len(starts)
+    else:
+        cuts = np.searchsorted(no_decay, starts[1:])
+        skips = [part - lo for part, lo in zip(np.split(no_decay, cuts), starts)]
+    ga, gb, decay = 1.0 - beta1, 1.0 - beta2, lr * wd
+    for lo, skip in zip(starts, skips):
+        hi = min(lo + ADAMW_SLICE, n)
+        ps, gs, ms, vs = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
+        ms *= beta1
+        np.multiply(gs, ga, out=a)
+        ms += a
+        vs *= beta2
+        np.multiply(gs, gb, out=a)
+        a *= gs
+        vs += a
+        np.divide(vs, c2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(ms, c1, out=b)
+        b /= a
+        b *= lr
+        ps -= b
+        if wd != 0.0:
+            np.multiply(ps, decay, out=a)
+            if skip is not None:
+                a[skip] = 0.0
+            ps -= a

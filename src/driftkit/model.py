@@ -15,9 +15,8 @@ in train mode; eval-mode forward is a pure function of (params, X).
 
 Checkpoint format: magic ``DNET``, version byte 1, little-endian u32
 header length, a JSON header (config, optional feature mask, metadata,
-layer order, optional optimizer hyper-parameters), then every parameter
-tensor raveled as little-endian float64 in layer order; optimizer first
-and second moments follow in the same order when present.
+layer order, and an ``optimizer`` key that is always null), then every
+parameter tensor raveled as little-endian float64 in layer order.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from . import kernels
 from .data import FeatureMask
 from .errors import ConfigError, DriftkitError, FormatError, ShapeError, StateError
-from .numerics import dropout_mask, make_rng, matmul, relu, relu_grad, sigmoid
+from .numerics import dropout_mask, make_rng, matmul, relu, sigmoid
 
 _MAGIC = b"DNET"
 _VERSION = 1
@@ -212,31 +211,41 @@ def forward(
     t = params.tensors
     cache: dict = {"params_id": id(params), "mode": mode, "X": X, "blocks": [], "heads": []}
 
-    pre0 = matmul(X, t["entry.W"]) + t["entry.b"]
-    a0 = relu(pre0)
-    m0 = mask_like(a0)
-    h = a0 * m0 if m0 is not None else a0
+    # biases and dropout masks are applied in place, to fresh products and
+    # activations that are cached only in their final, masked state
+    pre0 = matmul(X, t["entry.W"])
+    pre0 += t["entry.b"]
+    h = relu(pre0)
+    m0 = mask_like(h)
+    if m0 is not None:
+        h *= m0
     cache["entry"] = (pre0, m0)
 
     for k in range(cfg.n_residual_blocks):
         h_in = h
-        upre = matmul(h_in, t[f"block{k}.W1"]) + t[f"block{k}.b1"]
+        upre = matmul(h_in, t[f"block{k}.W1"])
+        upre += t[f"block{k}.b1"]
         u = relu(upre)
-        vpre = matmul(u, t[f"block{k}.W2"]) + t[f"block{k}.b2"]
-        spre = vpre + h_in
-        s = relu(spre)
-        mk = mask_like(s)
-        h = s * mk if mk is not None else s
+        spre = matmul(u, t[f"block{k}.W2"])
+        spre += t[f"block{k}.b2"]
+        spre += h_in
+        h = relu(spre)
+        mk = mask_like(h)
+        if mk is not None:
+            h *= mk
         cache["blocks"].append((h_in, upre, u, spre, mk))
 
     for j in range(len(cfg.head_widths)):
         h_in = h
-        tpre = matmul(h_in, t[f"head{j}.W"]) + t[f"head{j}.b"]
+        tpre = matmul(h_in, t[f"head{j}.W"])
+        tpre += t[f"head{j}.b"]
         h = relu(tpre)
         cache["heads"].append((h_in, tpre))
 
     cache["h_last"] = h
-    z = (matmul(h, t["out.W"]) + t["out.b"]).ravel()
+    z = matmul(h, t["out.W"])
+    z += t["out.b"]
+    z = z.ravel()
     return z, cache
 
 
@@ -271,29 +280,35 @@ def backward(
     dZ.sum(axis=0, out=grads["out.b"])
     dh = matmul(dZ, t["out.W"].T)
 
+    # every dh below is a fresh product that nothing else holds, so the
+    # dropout and ReLU masks multiply it in place. A boolean mask counts
+    # as 0.0/1.0; the kink at exactly 0 takes gradient 0.
     for j in reversed(range(len(cfg.head_widths))):
         h_in, tpre = cache["heads"][j]
-        dtpre = dh * relu_grad(tpre)
+        dtpre = np.multiply(dh, tpre > 0.0, out=dh)
         grads[f"head{j}.W"][...] = matmul(h_in.T, dtpre)
         dtpre.sum(axis=0, out=grads[f"head{j}.b"])
         dh = matmul(dtpre, t[f"head{j}.W"].T)
 
     for k in reversed(range(cfg.n_residual_blocks)):
         h_in, upre, u, spre, mk = cache["blocks"][k]
-        ds = dh * mk if mk is not None else dh
-        dspre = ds * relu_grad(spre)
+        if mk is not None:
+            dh *= mk
+        dspre = np.multiply(dh, spre > 0.0, out=dh)
         grads[f"block{k}.W2"][...] = matmul(u.T, dspre)
         dspre.sum(axis=0, out=grads[f"block{k}.b2"])
         du = matmul(dspre, t[f"block{k}.W2"].T)
-        dupre = du * relu_grad(upre)
+        dupre = np.multiply(du, upre > 0.0, out=du)
         grads[f"block{k}.W1"][...] = matmul(h_in.T, dupre)
         dupre.sum(axis=0, out=grads[f"block{k}.b1"])
         # skip connection: gradient re-enters the block input directly
-        dh = dspre + matmul(dupre, t[f"block{k}.W1"].T)
+        dh = matmul(dupre, t[f"block{k}.W1"].T)
+        dh += dspre
 
     pre0, m0 = cache["entry"]
-    da0 = dh * m0 if m0 is not None else dh
-    dpre0 = da0 * relu_grad(pre0)
+    if m0 is not None:
+        dh *= m0
+    dpre0 = np.multiply(dh, pre0 > 0.0, out=dh)
     grads["entry.W"][...] = matmul(cache["X"].T, dpre0)
     dpre0.sum(axis=0, out=grads["entry.b"])
     return grads
@@ -408,7 +423,8 @@ def adamw_step(params: ModelParams, grads, state: OptimizerState) -> None:
         raise ShapeError("gradients or optimizer moments do not match the parameters")
     if state.scratch is None:
         state.biases = bias_indices(params.cfg)
-        state.scratch = (np.empty_like(p), np.empty_like(p))
+        size = min(p.size, kernels.ADAMW_SLICE)
+        state.scratch = (np.empty(size), np.empty(size))
     state.t += 1
     kernels.adamw_update(
         p,
@@ -436,18 +452,12 @@ class LoadedModel:
     params: ModelParams
     mask: FeatureMask | None
     meta: dict
-    optimizer_state: OptimizerState | None
 
 
 def save_model(
-    params: ModelParams,
-    path,
-    mask: FeatureMask | None = None,
-    meta: dict | None = None,
-    optimizer_state: OptimizerState | None = None,
+    params: ModelParams, path, mask: FeatureMask | None = None, meta: dict | None = None
 ) -> None:
-    """Write a DNET checkpoint: config, optional mask, metadata, tensors,
-    and (when given) the full optimizer state for exact resumption.
+    """Write a DNET checkpoint: config, optional mask, metadata, tensors.
 
     The file is written under a temporary name in the same directory and
     then renamed over ``path``, so a failed write leaves any previous
@@ -458,20 +468,8 @@ def save_model(
         "mask": mask.to_dict() if mask is not None else None,
         "meta": meta or {},
         "layers": params.names(),
+        "optimizer": None,
     }
-    blobs = [params.flat]
-    if optimizer_state is not None:
-        header["optimizer"] = {
-            "lr": optimizer_state.lr,
-            "weight_decay": optimizer_state.weight_decay,
-            "beta1": optimizer_state.beta1,
-            "beta2": optimizer_state.beta2,
-            "eps": optimizer_state.eps,
-            "t": optimizer_state.t,
-        }
-        blobs += [optimizer_state.m, optimizer_state.v]
-    else:
-        header["optimizer"] = None
     header_bytes = json.dumps(header).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -479,8 +477,7 @@ def save_model(
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC + bytes([_VERSION]) + struct.pack("<I", len(header_bytes)))
             fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(np.ascontiguousarray(blob, dtype="<f8"))
+            fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -488,25 +485,15 @@ def save_model(
 
 
 def _parse_header(header) -> tuple:
-    """(config, optimizer state or None, mask or None, meta) from a DNET
-    header; raises KeyError, TypeError, ValueError or a DriftkitError if
-    it is malformed."""
+    """(config, mask or None, meta) from a DNET header; raises KeyError,
+    TypeError, ValueError or a DriftkitError if it is malformed."""
     cfg = ModelConfig.from_dict(header["config"])
     if header["layers"] != [name for name, _ in layer_shapes(cfg)]:
         raise ValueError("layer list does not match config topology")
-    opt = None
     if header.get("optimizer") is not None:
-        o = header["optimizer"]
-        opt = OptimizerState(
-            lr=float(o["lr"]),
-            weight_decay=float(o["weight_decay"]),
-            beta1=float(o["beta1"]),
-            beta2=float(o["beta2"]),
-            eps=float(o["eps"]),
-            t=int(o["t"]),
-        )
+        raise ValueError("optimizer state is not supported")
     mask = FeatureMask.from_dict(header["mask"]) if header.get("mask") else None
-    return cfg, opt, mask, header.get("meta", {})
+    return cfg, mask, header.get("meta", {})
 
 
 def load_model(path) -> LoadedModel:
@@ -525,22 +512,17 @@ def load_model(path) -> LoadedModel:
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
     try:
-        cfg, opt, mask, meta = _parse_header(header)
+        cfg, mask, meta = _parse_header(header)
     except KeyError as e:
         raise FormatError(f"{path}: header is missing key {e}") from None
     except (TypeError, ValueError, DriftkitError) as e:
         raise FormatError(f"{path}: malformed header: {e}") from None
 
     offset = 9 + hlen
-    n = param_count(cfg)
-    n_copies = 1 if opt is None else 3
-    expected = offset + 8 * n * n_copies
+    expected = offset + 8 * param_count(cfg)
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
     stored = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64)
     if not np.isfinite(stored).all():
         raise FormatError(f"{path}: stored tensors hold NaN or infinite values")
-    params = ModelParams(cfg, stored[:n])
-    if opt is not None:
-        opt.m, opt.v = stored[n : 2 * n], stored[2 * n :]
-    return LoadedModel(params, mask, meta, opt)
+    return LoadedModel(ModelParams(cfg, stored), mask, meta)

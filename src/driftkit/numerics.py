@@ -51,12 +51,6 @@ def relu(x: Matrix) -> Matrix:
     return np.maximum(x, 0.0)
 
 
-def relu_grad(x: Matrix) -> Matrix:
-    """Indicator of x > 0. The kink at exactly 0 takes gradient 0, so
-    finite-difference checks must avoid evaluating at the kink."""
-    return (x > 0.0).astype(np.float64)
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Matrix:
     """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
 
@@ -67,5 +61,7 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Matrix:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return np.ones(shape, dtype=np.float64)
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return mask

@@ -23,7 +23,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,18 +69,6 @@ class PfiReport:
             w.writerow(["feature_index", "importance", "kept"])
             for i, (imp, keep) in enumerate(zip(self.importances, self.kept)):
                 w.writerow([i, repr(float(imp)), int(keep)])
-
-
-def permute_feature(X: np.ndarray, i: int, rng: np.random.Generator) -> np.ndarray:
-    """Copy of X with column i uniformly permuted; X itself is untouched."""
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ShapeError("expected a 2-D matrix")
-    if not 0 <= i < X.shape[1]:
-        raise ShapeError(f"feature index {i} out of range for {X.shape[1]} features")
-    out = X.copy()
-    out[:, i] = rng.permutation(out[:, i])
-    return out
 
 
 def _score(params: ModelParams, X, y, cfg: PfiConfig) -> float:

@@ -299,8 +299,10 @@ def _poke_tensor(index, value):
     (_poke_tensor(0, float("nan")), "NaN or infinite"),
     (_poke_tensor(-1, float("inf")), "NaN or infinite"),
     (_poke_tensor(7, float("-inf")), "NaN or infinite"),
+    (_with_header(lambda h: {**h, "optimizer": {"lr": 1e-3, "t": 1}}), "optimizer state"),
 ], ids=["header-list", "missing-config-key", "missing-config", "mask-list",
-        "bad-config-value", "nan-first-weight", "inf-last-bias", "neg-inf-weight"])
+        "bad-config-value", "nan-first-weight", "inf-last-bias", "neg-inf-weight",
+        "optimizer-state"])
 def test_eval_rejects_malformed_checkpoint(workdir, tmp_path, capsys, corrupt, message):
     out = tmp_path / "o"
     out.mkdir()

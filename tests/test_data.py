@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from driftkit.data import (
     compose_masks,
     load_dataset,
     month_label,
-    month_of,
     save_dataset,
     split_random,
     split_recent,
@@ -217,6 +217,13 @@ def test_split_bounds(toy_dataset):
             split_recent(toy_dataset, bad)
         with pytest.raises(ConfigError):
             split_random(toy_dataset, bad, seed=0)
+
+
+def month_of(ts):
+    """(year, month) of a UTC timestamp, one ``datetime`` per call: the
+    per-row reference for ``bucket_by_month``."""
+    d = datetime.fromtimestamp(int(ts), tz=timezone.utc)
+    return d.year, d.month
 
 
 def test_month_of_utc():

@@ -15,13 +15,12 @@ from driftkit.evaluation import (
     confusion,
     detect_drift,
     evaluate_buckets,
-    evaluate_dataset,
     metrics,
     save_report_json,
     write_long_csv,
 )
 
-from conftest import make_dataset, tiny_model
+from conftest import make_dataset
 
 
 def brute_confusion(probs, labels, threshold):
@@ -206,21 +205,6 @@ def test_evaluate_buckets_all_empty():
     params = saturated_params()
     with pytest.raises(DataError):
         evaluate_buckets(params, [])
-
-
-def test_evaluate_dataset_single_row():
-    params = saturated_params()
-    ds = labeled_months([(JAN, [(1.0, 1), (-1.0, 0), (-1.0, 1)])])
-    row = evaluate_dataset(params, ds)
-    assert row.n == 3
-    assert row.acc == pytest.approx(2 / 3)
-
-
-def test_evaluate_dataset_on_real_model(toy_dataset):
-    params = tiny_model()
-    row = evaluate_dataset(params, toy_dataset)
-    assert row.n == len(toy_dataset)
-    assert 0.0 <= row.acc <= 1.0
 
 
 def test_detect_drift_example():

@@ -99,27 +99,31 @@ def test_adamw_matches_scalar_reference_bit_identical():
         assert np.array_equal(p1, p2) and np.array_equal(m1, m2) and np.array_equal(v1, v2)
 
 
-def test_adamw_one_call_equals_per_segment_calls():
+def test_adamw_one_call_equals_per_segment_calls(monkeypatch):
     """One call over a concatenation, exempting some segments from decay and
-    reusing scratch, gives the same bits as one scalar-wd call per segment."""
-    rng = np.random.default_rng(3)
+    reusing scratch, gives the same bits as one scalar-wd call per segment.
+    Run at the default slice size (one slice here) and at 7 entries, where
+    slices cut through segments and the last slice is short."""
     sizes, decayed = [40, 8, 64, 8, 1], [True, False, True, False, False]
     bounds = np.cumsum([0] + sizes)
     n = int(bounds[-1])
     no_decay = np.flatnonzero(~np.repeat(decayed, sizes))
-    p1 = rng.standard_normal(n)
-    p2 = p1.copy()
-    m1, m2, v1, v2 = (np.zeros(n) for _ in range(4))
-    scratch = (np.empty(n), np.empty(n))
-    for t in range(1, 30):
-        g = rng.standard_normal(n)
-        c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-        kernels.adamw_update(p1, g, m1, v1, c1, c2, 1e-2, 0.9, 0.999, 1e-8, 0.1,
-                             no_decay=no_decay, scratch=scratch)
-        for lo, hi, dec in zip(bounds[:-1], bounds[1:], decayed):
-            kernels.adamw_update(p2[lo:hi], g[lo:hi], m2[lo:hi], v2[lo:hi], c1, c2,
-                                 1e-2, 0.9, 0.999, 1e-8, 0.1 if dec else 0.0)
-        assert np.array_equal(p1, p2) and np.array_equal(m1, m2) and np.array_equal(v1, v2)
+    for slice_size in (kernels.ADAMW_SLICE, 7):
+        monkeypatch.setattr(kernels, "ADAMW_SLICE", slice_size)
+        rng = np.random.default_rng(3)
+        p1 = rng.standard_normal(n)
+        p2 = p1.copy()
+        m1, m2, v1, v2 = (np.zeros(n) for _ in range(4))
+        scratch = (np.empty(min(n, slice_size)), np.empty(min(n, slice_size)))
+        for t in range(1, 30):
+            g = rng.standard_normal(n)
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            kernels.adamw_update(p1, g, m1, v1, c1, c2, 1e-2, 0.9, 0.999, 1e-8, 0.1,
+                                 no_decay=no_decay, scratch=scratch)
+            for lo, hi, dec in zip(bounds[:-1], bounds[1:], decayed):
+                kernels.adamw_update(p2[lo:hi], g[lo:hi], m2[lo:hi], v2[lo:hi], c1, c2,
+                                     1e-2, 0.9, 0.999, 1e-8, 0.1 if dec else 0.0)
+            assert np.array_equal(p1, p2) and np.array_equal(m1, m2) and np.array_equal(v1, v2)
 
 
 def test_loss_forward_extreme_logits_finite():

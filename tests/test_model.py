@@ -237,6 +237,27 @@ def test_backward_through_train_mode_dropout():
     np.testing.assert_allclose(grads[name], fd, rtol=1e-3, atol=1e-8)
 
 
+def _cached_arrays(cache):
+    parts = [cache["X"], cache["h_last"], *cache["entry"]]
+    for group in cache["blocks"] + cache["heads"]:
+        parts += group
+    return [a for a in parts if a is not None]
+
+
+def test_backward_leaves_the_forward_cache_intact():
+    """forward and backward work in place on their own temporaries; the
+    cached activations and masks must survive, so a second backward on
+    the same cache gives the same bits."""
+    params = tiny_model(input_dim=4, trunk=7, blocks=2, heads=(5, 3), dropout=0.4, seed=6)
+    X = make_rng(2).standard_normal((9, 4))
+    z, cache = forward(params, X, mode="train", rng=make_rng(3))
+    before = [a.copy() for a in _cached_arrays(cache)]
+    first = {n: g.copy() for n, g in backward(params, cache, z).items()}
+    assert all(np.array_equal(a, b) for a, b in zip(_cached_arrays(cache), before))
+    second = backward(params, cache, z)
+    assert all(np.array_equal(first[n], second[n]) for n in params.names())
+
+
 def test_backward_rejects_foreign_cache():
     params = tiny_model()
     other = tiny_model(seed=1)
@@ -344,24 +365,26 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.params.cfg == params.cfg
     assert loaded.mask == mask
     assert loaded.meta == meta
-    assert loaded.optimizer_state is None
     for name in params.names():
         assert np.array_equal(loaded.params.tensors[name], params.tensors[name])
 
 
 def test_save_load_with_optimizer(tmp_path):
+    """Checkpoints hold no optimizer state: the header keeps a null
+    ``optimizer`` key, and a file that claims optimizer state is refused."""
     params = tiny_model(seed=2)
-    state = init_optimizer(params, lr=0.02, weight_decay=0.005)
-    grads = {n: make_rng(1).standard_normal(params.tensors[n].shape) for n in params.names()}
-    adamw_step(params, grads, state)
     path = tmp_path / "model.dnet"
-    save_model(params, path, optimizer_state=state)
-    loaded = load_model(path)
-    assert loaded.optimizer_state is not None
-    assert loaded.optimizer_state.t == 1
-    assert loaded.optimizer_state.lr == 0.02
-    assert np.array_equal(loaded.optimizer_state.m, state.m)
-    assert np.array_equal(loaded.optimizer_state.v, state.v)
+    save_model(params, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    header = json.loads(raw[9 : 9 + hlen])
+    assert header["optimizer"] is None
+    assert len(raw) == 9 + hlen + 8 * params.flat.size
+    header["optimizer"] = {"lr": 0.02, "t": 1}
+    hb = json.dumps(header).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(hb)) + hb + raw[9 + hlen :])
+    with pytest.raises(FormatError, match="optimizer state"):
+        load_model(path)
 
 
 def test_tensors_are_views_of_one_flat_vector_in_layer_order(tmp_path):

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from driftkit.errors import ConfigError, ShapeError
+from driftkit.model import ModelConfig, ModelParams, backward, forward
 from driftkit.numerics import (
     dropout_mask,
     make_rng,
     matmul,
     relu,
-    relu_grad,
     sigmoid,
 )
 
@@ -54,8 +54,18 @@ def test_sigmoid_preserves_shape():
 def test_relu_and_grad():
     x = np.array([[-2.0, -0.0, 0.0, 3.5]])
     assert np.array_equal(relu(x), [[0.0, 0.0, 0.0, 3.5]])
-    # the kink at exactly zero takes gradient 0
-    assert np.array_equal(relu_grad(x), [[0.0, 0.0, 0.0, 1.0]])
+    # backward applies the ReLU gradient; a one-layer net whose
+    # pre-activations are x shows it: the kink at exactly zero takes
+    # gradient 0, so finite-difference checks must avoid evaluating there
+    cfg = ModelConfig(input_dim=1, trunk_width=4, n_residual_blocks=0,
+                      dropout_rate=0.0, head_widths=())
+    params = ModelParams.from_tensors(cfg, {
+        "entry.W": np.zeros((1, 4)), "entry.b": x[0],
+        "out.W": np.full((4, 1), -1.0), "out.b": np.zeros(1),
+    })
+    _, cache = forward(params, np.zeros((1, 1)))
+    grads = backward(params, cache, np.ones(1))
+    assert np.array_equal(grads["entry.b"], [0.0, 0.0, 0.0, -1.0])
 
 
 def test_matmul_matches_numpy_and_checks_shapes():
@@ -78,6 +88,17 @@ def test_dropout_mask_values_and_rate():
     assert abs(kept.mean() - 0.7) < 0.02
     # inverted scaling keeps the mask mean near 1
     assert abs(mask.mean() - 1.0) < 0.05
+
+
+def test_dropout_mask_equals_boolean_keep_formula():
+    # the mask is built in one buffer; same draws, same bits as
+    # (u >= rate) cast to float and divided by 1 - rate
+    for rate in (0.2, 0.5, 0.9):
+        mask = dropout_mask((37, 11), rate, make_rng(4))
+        keep = make_rng(4).random((37, 11)) >= rate
+        expected = keep.astype(np.float64) / (1.0 - rate)
+        assert mask.dtype == np.float64
+        assert mask.tobytes() == expected.tobytes()
 
 
 def test_dropout_mask_rate_zero_is_identity_and_skips_rng():

@@ -40,9 +40,9 @@ def test_tracer_installs_and_uninstalls(tracer):
     assert isinstance(kernels.backend(), str)
 
 
-def test_training_runs_under_the_tracer(tracer):
+def _train_plain_then_traced(tracer, cfg):
+    """Same bytes with and without the tracer, one AdamW kernel call per step."""
     ds = make_dataset(n=60, dim=4)
-    cfg = ModelConfig(input_dim=4, trunk_width=8, n_residual_blocks=1, head_widths=(4,))
     tcfg = TrainConfig(n_val=20, batch_size=16, max_epochs=2, patience=2, lr=1e-2)
     plain, _ = training.train(ds, cfg, tcfg)
     tracer.install()
@@ -54,6 +54,17 @@ def test_training_runs_under_the_tracer(tracer):
     assert steps == 2 * 3
     assert calls["kernels.adamw_update"]["calls"] == steps
     assert calls["numerics.matmul.train_bwd"]["calls"] > 0
+
+
+def test_training_runs_under_the_tracer(tracer):
+    cfg = ModelConfig(input_dim=4, trunk_width=8, n_residual_blocks=1, head_widths=(4,))
+    _train_plain_then_traced(tracer, cfg)
+
+
+def test_training_over_several_adamw_slices_runs_under_the_tracer(tracer):
+    cfg = ModelConfig(input_dim=4, trunk_width=512, n_residual_blocks=1, head_widths=(4,))
+    assert model.param_count(cfg) > 2 * kernels.ADAMW_SLICE
+    _train_plain_then_traced(tracer, cfg)
 
 
 def test_pfi_under_the_tracer_keeps_bytes_and_counts_every_flop(tracer):

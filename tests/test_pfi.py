@@ -8,29 +8,11 @@ from driftkit.pfi import (
     PfiConfig,
     column_importance,
     default_threads,
-    permute_feature,
     run_pfi,
 )
 from driftkit.training import TrainConfig, train
 
 from conftest import make_dataset
-
-
-def test_permute_feature_is_a_permutation():
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((30, 4))
-    out = permute_feature(X, 2, np.random.default_rng(1))
-    assert out is not X
-    assert np.array_equal(np.sort(out[:, 2]), np.sort(X[:, 2]))
-    untouched = [0, 1, 3]
-    assert np.array_equal(out[:, untouched], X[:, untouched])
-
-
-def test_permute_feature_validation():
-    with pytest.raises(ShapeError):
-        permute_feature(np.zeros(5), 0, np.random.default_rng(0))
-    with pytest.raises(ShapeError):
-        permute_feature(np.zeros((5, 2)), 2, np.random.default_rng(0))
 
 
 def single_feature_model():
