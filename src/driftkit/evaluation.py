@@ -199,19 +199,6 @@ def detect_drift(error_series, epsilon: float, persistence: int = 2) -> DriftVer
     return DriftVerdict(epsilon, onset, persisted)
 
 
-def write_long_csv(reports: dict, path) -> None:
-    """Plot-ready long format: one (model, bucket, metric, value) per row."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "bucket", "metric", "value"])
-        for name, report in reports.items():
-            for r in report.rows:
-                for metric_name in ("acc", "f1", "fnr", "fpr", "err"):
-                    v = getattr(r, metric_name)
-                    if v is not None:
-                        w.writerow([name, r.bucket, metric_name, f"{v:.6f}"])
-
-
 def save_report_json(report: MetricsReport, verdict: DriftVerdict | None, path, extra=None):
     doc = report.to_json()
     if verdict is not None:

@@ -13,13 +13,16 @@ def backend() -> str:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Stable logistic function, exact for any finite input magnitude."""
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Stable logistic function, exact for any finite input magnitude.
+
+    One exp serves both signs: with e = exp(-|z|), sigmoid(z) is 1/(1+e)
+    for z >= 0 and e/(1+e) below. These are the very operations of the
+    textbook branches 1/(1+exp(-z)) and exp(z)/(1+exp(z)), on the same
+    operands (-|z| is exactly -z or z), so the bits equal a per-sign
+    evaluation; only the selection is done with ``np.where``.
+    """
+    e = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0.0, 1.0, e), 1.0 + e)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -35,7 +38,8 @@ def loss_forward(z, y, a1, a0, lam) -> float:
     stays finite for |z| up to ~1e300.
     """
     core = a1 * y * _softplus(-z) + a0 * (1.0 - y) * _softplus(z)
-    return float(np.mean(core + 0.5 * lam * z * z))
+    # np.mean's reduction and division, without its Python-level wrapper
+    return float(np.add.reduce(core + 0.5 * lam * z * z) / z.size)
 
 
 def loss_grad(z, y, a1, a0, lam) -> np.ndarray:
@@ -43,10 +47,16 @@ def loss_grad(z, y, a1, a0, lam) -> np.ndarray:
 
     1 - sigmoid(z) is computed as sigmoid(-z) so the positive-label term
     keeps full relative precision for large positive z, where the naive
-    subtraction would leave only a few significant bits.
+    subtraction would leave only a few significant bits. Both come from
+    one e = exp(-|z|): sigmoid(z) and sigmoid(-z) are 1/(1+e) and
+    e/(1+e), swapped by the sign of z, with the bits of two ``sigmoid``
+    calls (see there; at z = ±0 both are 1/2).
     """
-    p = sigmoid(z)
-    q = sigmoid(-z)
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    pos = z >= 0.0
+    p = np.divide(np.where(pos, 1.0, e), d)
+    q = np.divide(np.where(pos, e, 1.0), d)
     return (-a1 * y * q + a0 * (1.0 - y) * p + lam * z) / z.size
 
 

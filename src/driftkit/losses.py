@@ -104,49 +104,25 @@ def _validate_batch(logits, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"logits/labels length mismatch: {z.size} vs {y.size}")
     if z.size == 0:
         raise DataError("loss batch must contain at least one sample")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DataError("logits must be finite")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise DataError("labels must be 0 or 1")
     return z, y
 
 
-def bce(logits, labels) -> float:
-    """Mean binary cross-entropy from logits."""
-    z, y = _validate_batch(logits, labels)
-    return kernels.loss_forward(z, y, 1.0, 1.0, 0.0)
-
-
-def sd_bce(logits, labels, lam: float) -> float:
-    """BCE plus the mean (lam/2) * z^2 logit penalty."""
-    if not 0.0 <= lam < math.inf:
-        raise ConfigError(f"lam must be finite and >= 0, got {lam}")
-    z, y = _validate_batch(logits, labels)
-    return kernels.loss_forward(z, y, 1.0, 1.0, float(lam))
-
-
-def drbce(logits, labels, cfg: LossConfig) -> float:
-    """Drift-resilient weighted BCE with logit penalty (see module docs)."""
+def loss_value(logits, labels, cfg: LossConfig) -> float:
+    """Loss of any variant (see module docs); all variants share one kernel."""
     z, y = _validate_batch(logits, labels)
     c = cfg.effective()
     return kernels.loss_forward(z, y, c.w1 * c.p_fn, c.w0 * c.p_fp, c.lam)
 
 
-def drbce_grad(logits, labels, cfg: LossConfig) -> np.ndarray:
-    """Analytic dL/dz_i for the drift-resilient loss:
+def loss_grad(logits, labels, cfg: LossConfig) -> np.ndarray:
+    """Analytic dL/dz_i of any variant, with its effective coefficients:
 
         (1/N) * [ -w1*p_fn*y_i*(1-p_i) + w0*p_fp*(1-y_i)*p_i + lam*z_i ]
     """
     z, y = _validate_batch(logits, labels)
     c = cfg.effective()
     return kernels.loss_grad(z, y, c.w1 * c.p_fn, c.w0 * c.p_fp, c.lam)
-
-
-def loss_value(logits, labels, cfg: LossConfig) -> float:
-    """Variant-dispatched loss value (all variants share one kernel)."""
-    return drbce(logits, labels, cfg)
-
-
-def loss_grad(logits, labels, cfg: LossConfig) -> np.ndarray:
-    """Variant-dispatched per-logit gradient."""
-    return drbce_grad(logits, labels, cfg)

@@ -187,9 +187,10 @@ def forward(
 ) -> tuple[np.ndarray, dict]:
     """Run the network; returns (logits[batch], cache for backward).
 
-    Train mode draws fresh dropout masks from ``rng``; eval mode is
-    deterministic. The cache holds every intermediate needed by
-    ``backward`` and is tied to this exact params object.
+    Train mode draws fresh dropout masks from ``rng``, one call for all
+    trunk layers; eval mode is deterministic. The cache holds every
+    intermediate needed by ``backward`` and is tied to this exact params
+    object.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -199,14 +200,15 @@ def forward(
         raise ShapeError(
             f"input must be (batch, {cfg.input_dim}), got {X.shape}"
         )
-    dropping = mode == "train" and cfg.dropout_rate > 0.0
-    if dropping and rng is None:
-        raise ConfigError("train-mode forward with dropout needs an rng")
-
-    def mask_like(a):
-        if dropping:
-            return dropout_mask(a.shape, cfg.dropout_rate, rng)
-        return None
+    masks = [None] * (1 + cfg.n_residual_blocks)
+    if mode == "train" and cfg.dropout_rate > 0.0:
+        if rng is None:
+            raise ConfigError("train-mode forward with dropout needs an rng")
+        # all trunk masks of the step in one draw; PCG64 fills the doubles
+        # in order, so each slice equals a separate draw per layer
+        masks = dropout_mask(
+            (len(masks), X.shape[0], cfg.trunk_width), cfg.dropout_rate, rng
+        )
 
     t = params.tensors
     cache: dict = {"params_id": id(params), "mode": mode, "X": X, "blocks": [], "heads": []}
@@ -216,7 +218,7 @@ def forward(
     pre0 = matmul(X, t["entry.W"])
     pre0 += t["entry.b"]
     h = relu(pre0)
-    m0 = mask_like(h)
+    m0 = masks[0]
     if m0 is not None:
         h *= m0
     cache["entry"] = (pre0, m0)
@@ -230,7 +232,7 @@ def forward(
         spre += t[f"block{k}.b2"]
         spre += h_in
         h = relu(spre)
-        mk = mask_like(h)
+        mk = masks[k + 1]
         if mk is not None:
             h *= mk
         cache["blocks"].append((h_in, upre, u, spre, mk))
@@ -277,7 +279,7 @@ def backward(
 
     h_last = cache["h_last"]
     grads["out.W"][...] = matmul(h_last.T, dZ)
-    dZ.sum(axis=0, out=grads["out.b"])
+    np.add.reduce(dZ, axis=0, out=grads["out.b"])
     dh = matmul(dZ, t["out.W"].T)
 
     # every dh below is a fresh product that nothing else holds, so the
@@ -287,7 +289,7 @@ def backward(
         h_in, tpre = cache["heads"][j]
         dtpre = np.multiply(dh, tpre > 0.0, out=dh)
         grads[f"head{j}.W"][...] = matmul(h_in.T, dtpre)
-        dtpre.sum(axis=0, out=grads[f"head{j}.b"])
+        np.add.reduce(dtpre, axis=0, out=grads[f"head{j}.b"])
         dh = matmul(dtpre, t[f"head{j}.W"].T)
 
     for k in reversed(range(cfg.n_residual_blocks)):
@@ -296,11 +298,11 @@ def backward(
             dh *= mk
         dspre = np.multiply(dh, spre > 0.0, out=dh)
         grads[f"block{k}.W2"][...] = matmul(u.T, dspre)
-        dspre.sum(axis=0, out=grads[f"block{k}.b2"])
+        np.add.reduce(dspre, axis=0, out=grads[f"block{k}.b2"])
         du = matmul(dspre, t[f"block{k}.W2"].T)
         dupre = np.multiply(du, upre > 0.0, out=du)
         grads[f"block{k}.W1"][...] = matmul(h_in.T, dupre)
-        dupre.sum(axis=0, out=grads[f"block{k}.b1"])
+        np.add.reduce(dupre, axis=0, out=grads[f"block{k}.b1"])
         # skip connection: gradient re-enters the block input directly
         dh = matmul(dupre, t[f"block{k}.W1"].T)
         dh += dspre
@@ -310,7 +312,7 @@ def backward(
         dh *= m0
     dpre0 = np.multiply(dh, pre0 > 0.0, out=dh)
     grads["entry.W"][...] = matmul(cache["X"].T, dpre0)
-    dpre0.sum(axis=0, out=grads["entry.b"])
+    np.add.reduce(dpre0, axis=0, out=grads["entry.b"])
     return grads
 
 

@@ -63,5 +63,7 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Matrix:
         return np.ones(shape, dtype=np.float64)
     mask = rng.random(shape)
     np.greater_equal(mask, rate, out=mask)
-    mask /= 1.0 - rate
+    # the buffer holds 0.0 and 1.0, so multiplying by the rounded
+    # 1/(1-rate) gives the bits of dividing each entry by 1-rate
+    mask *= 1.0 / (1.0 - rate)
     return mask

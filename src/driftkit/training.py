@@ -168,7 +168,8 @@ def train(
     grads = ModelParams(model_cfg, np.empty_like(params.flat))
     best_params = params.copy()
     bad_epochs = 0
-    Xtr, ytr = train_ds.features, train_ds.labels
+    # float64 labels once, so that each loss call's conversion copies nothing
+    Xtr, ytr = train_ds.features, train_ds.labels.astype(np.float64)
     Xval, yval = val_ds.features, val_ds.labels
 
     for epoch in range(train_cfg.max_epochs):
@@ -178,13 +179,13 @@ def train(
             idx = order[start : start + train_cfg.batch_size]
             Xb, yb = Xtr[idx], ytr[idx]
             z, cache = forward(params, Xb, mode="train", rng=rng)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise NumericError(
                     f"training diverged: non-finite logits at epoch {epoch}, "
                     f"batch {start // train_cfg.batch_size}"
                 )
             value = loss_value(z, yb, loss_cfg)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"batch {start // train_cfg.batch_size}"
@@ -196,7 +197,7 @@ def train(
         hist.train_loss.append(epoch_loss / len(train_ds))
 
         zval, _ = forward(params, Xval, mode="eval")
-        if not np.all(np.isfinite(zval)):
+        if not np.isfinite(zval).all():
             raise NumericError(
                 f"training diverged: non-finite validation logits at epoch {epoch}"
             )

@@ -25,7 +25,7 @@ from driftkit.evaluation import (
     detect_drift,
     metrics,
 )
-from driftkit.losses import LossConfig, bce, loss_grad, loss_value, sd_bce
+from driftkit.losses import LossConfig, loss_grad, loss_value
 from driftkit.model import (
     ModelConfig,
     backward,
@@ -69,6 +69,8 @@ def test_01_loss_variant_reduction_identities(capsys):
         neutral = LossConfig(variant="drbce", lam=0.0, p_fn=1.0, p_fp=1.0,
                              w1=1.0, w0=1.0, weight_mode="uniform")
         lambdas = (0.001, 0.01, 0.1, 0.5)
+        bce = LossConfig(variant="bce")
+        sd_bce = {lam: LossConfig(variant="sd_bce", lam=lam) for lam in lambdas}
         lam_cfgs = {
             lam: LossConfig(variant="drbce", lam=lam, p_fn=1.0, p_fp=1.0,
                             w1=1.0, w0=1.0, weight_mode="uniform")
@@ -77,7 +79,7 @@ def test_01_loss_variant_reduction_identities(capsys):
         # warm up so one-time costs are not billed as runtime
         z0 = np.array([0.3, -1.2])
         y0 = np.array([1.0, 0.0])
-        bce(z0, y0)
+        loss_value(z0, y0, bce)
         loss_value(z0, y0, neutral)
 
         rng = np.random.default_rng(20240501)
@@ -86,9 +88,10 @@ def test_01_loss_variant_reduction_identities(capsys):
         for _ in range(10_000):
             z, y = draw_batch(rng, max_abs_z=10.0)
             lam = lambdas[int(rng.integers(len(lambdas)))]
-            worst_bce = max(worst_bce, abs(loss_value(z, y, neutral) - bce(z, y)))
-            worst_sd = max(worst_sd,
-                           abs(sd_bce(z, y, lam) - loss_value(z, y, lam_cfgs[lam])))
+            worst_bce = max(worst_bce,
+                            abs(loss_value(z, y, neutral) - loss_value(z, y, bce)))
+            worst_sd = max(worst_sd, abs(loss_value(z, y, sd_bce[lam])
+                                         - loss_value(z, y, lam_cfgs[lam])))
         elapsed = time.monotonic() - t0
         assert worst_bce < tol, f"max |drbce(neutral) - bce| = {worst_bce}"
         assert worst_sd < tol, f"max |sd_bce - drbce(unit penalties)| = {worst_sd}"

@@ -1,4 +1,3 @@
-import csv
 import json
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from driftkit.evaluation import (
     evaluate_buckets,
     metrics,
     save_report_json,
-    write_long_csv,
 )
 
 from conftest import make_dataset
@@ -138,16 +136,6 @@ def test_report_csv_and_json(tmp_path):
     assert loaded["drift"] == {"epsilon": 0.3, "onset": 2, "persisted": True}
     assert loaded["seed"] == 5
     assert loaded["buckets"][1]["acc"] is None
-
-
-def test_write_long_csv(tmp_path):
-    p = tmp_path / "long.csv"
-    write_long_csv({"base": make_report()}, p)
-    rows = list(csv.reader(p.read_text().splitlines()))
-    assert rows[0] == ["model", "bucket", "metric", "value"]
-    assert ["base", "2021-01", "f1", "0.900000"] in rows
-    # undefined cells are skipped entirely
-    assert not any(r[1] == "2021-02" for r in rows[1:])
 
 
 def saturated_params():

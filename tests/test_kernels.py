@@ -134,3 +134,60 @@ def test_loss_forward_extreme_logits_finite():
 
 def test_backend_is_numpy():
     assert kernels.backend() == "numpy"
+
+
+def masked_sigmoid(z):
+    """The former two-branch kernel, with boolean-mask fancy indexing."""
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def two_sigmoid_loss_grad(z, y, a1, a0, lam):
+    """The former gradient kernel: one masked sigmoid call per sign."""
+    p = masked_sigmoid(z)
+    q = masked_sigmoid(-z)
+    return (-a1 * y * q + a0 * (1.0 - y) * p + lam * z) / z.size
+
+
+def np_mean_loss_forward(z, y, a1, a0, lam):
+    """The former loss-value kernel, averaging with ``np.mean``."""
+    core = a1 * y * np.logaddexp(0.0, -z) + a0 * (1.0 - y) * np.logaddexp(0.0, z)
+    return float(np.mean(core + 0.5 * lam * z * z))
+
+
+EDGE_LOGITS = np.array([0.0, 5e-324, 36.7, 709.7, 745.0, 746.0, 1e300, np.inf])
+EDGE_LOGITS = np.concatenate([EDGE_LOGITS, -EDGE_LOGITS])
+
+
+def differing_bits(a, b):
+    return int(np.count_nonzero(a.view(np.int64) != b.view(np.int64)))
+
+
+def test_sigmoid_bit_identical_to_masked_branches():
+    rng = np.random.default_rng(7)
+    for scale in (1.0, 30.0, 300.0):
+        z = rng.standard_normal(200_000) * scale
+        assert differing_bits(kernels.sigmoid(z), masked_sigmoid(z)) == 0
+    assert differing_bits(kernels.sigmoid(EDGE_LOGITS), masked_sigmoid(EDGE_LOGITS)) == 0
+    # the sign of zero is kept out of the choice: both zeros give exactly 1/2
+    assert kernels.sigmoid(np.array([-0.0]))[0] == 0.5
+
+
+def test_loss_kernels_bit_identical_to_former_formulas():
+    rng = np.random.default_rng(8)
+    finite = EDGE_LOGITS[np.isfinite(EDGE_LOGITS)]
+    for scale in (1.0, 30.0, 300.0):
+        z = np.concatenate([rng.standard_normal(50_000) * scale, finite])
+        y = (rng.random(z.size) < 0.5).astype(np.float64)
+        for a1, a0, lam in ((1.0, 1.0, 0.0), (2.5, 0.7, 0.1), (5.0, 0.35, 0.5)):
+            assert differing_bits(kernels.loss_grad(z, y, a1, a0, lam),
+                                  two_sigmoid_loss_grad(z, y, a1, a0, lam)) == 0
+            # lam * z * z overflows to inf at the largest edge logits, on both sides
+            with np.errstate(over="ignore"):
+                for n in (1, 16, 1000, z.size):
+                    assert kernels.loss_forward(z[:n], y[:n], a1, a0, lam) == \
+                        np_mean_loss_forward(z[:n], y[:n], a1, a0, lam)

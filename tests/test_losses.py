@@ -1,27 +1,25 @@
 """Loss values against 50-digit reference arithmetic, gradient against
 central finite differences, and the variant-reduction identities."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
 
 from driftkit.errors import ConfigError, DataError, ShapeError
-from driftkit.losses import (
-    LossConfig,
-    bce,
-    class_weights,
-    drbce,
-    drbce_grad,
-    loss_grad,
-    loss_value,
-    sd_bce,
-)
+from driftkit.losses import LossConfig, class_weights, loss_grad, loss_value
 
 mpmath.mp.dps = 50
 
 NEUTRAL = LossConfig(
     variant="drbce", lam=0.0, p_fn=1.0, p_fp=1.0, w1=1.0, w0=1.0, weight_mode="uniform"
 )
+BCE = LossConfig(variant="bce")
+
+
+def sd_bce(lam):
+    return LossConfig(variant="sd_bce", lam=lam)
 
 
 def mp_sigmoid(z):
@@ -54,14 +52,14 @@ def test_bce_matches_high_precision():
     for _ in range(50):
         z, y = random_batch(rng)
         want = float(mp_drbce(z, y, 1, 1, 1, 1, 0.0))
-        assert bce(z, y) == pytest.approx(want, rel=1e-13)
+        assert loss_value(z, y, BCE) == pytest.approx(want, rel=1e-13)
 
 
 def test_bce_known_value():
     # z=0 gives p=1/2; each term is log 2 regardless of label
     z = np.zeros(4)
     y = np.array([0.0, 1.0, 1.0, 0.0])
-    assert bce(z, y) == pytest.approx(float(mpmath.log(2)), rel=1e-15)
+    assert loss_value(z, y, BCE) == pytest.approx(float(mpmath.log(2)), rel=1e-15)
 
 
 def test_sd_bce_matches_high_precision():
@@ -69,7 +67,7 @@ def test_sd_bce_matches_high_precision():
     for lam in (0.0, 0.001, 0.1, 0.5):
         z, y = random_batch(rng)
         want = float(mp_drbce(z, y, 1, 1, 1, 1, lam))
-        assert sd_bce(z, y, lam) == pytest.approx(want, rel=1e-13)
+        assert loss_value(z, y, sd_bce(lam)) == pytest.approx(want, rel=1e-13)
 
 
 def test_drbce_matches_high_precision():
@@ -84,14 +82,14 @@ def test_drbce_matches_high_precision():
             weight_mode="uniform",
         )
         want = float(mp_drbce(z, y, w1, w0, p_fn, p_fp, lam))
-        assert drbce(z, y, cfg) == pytest.approx(want, rel=1e-13)
+        assert loss_value(z, y, cfg) == pytest.approx(want, rel=1e-13)
 
 
 def test_neutral_drbce_equals_bce_exactly():
     rng = np.random.default_rng(3)
     for _ in range(200):
         z, y = random_batch(rng)
-        assert drbce(z, y, NEUTRAL) == bce(z, y)
+        assert loss_value(z, y, NEUTRAL) == loss_value(z, y, BCE)
 
 
 def test_sd_bce_equals_drbce_with_neutral_penalties_exactly():
@@ -103,7 +101,7 @@ def test_sd_bce_equals_drbce_with_neutral_penalties_exactly():
                 variant="drbce", lam=lam, p_fn=1.0, p_fp=1.0, w1=1.0, w0=1.0,
                 weight_mode="uniform",
             )
-            assert sd_bce(z, y, lam) == drbce(z, y, cfg)
+            assert loss_value(z, y, sd_bce(lam)) == loss_value(z, y, cfg)
 
 
 def test_gradient_matches_high_precision_finite_differences():
@@ -115,7 +113,7 @@ def test_gradient_matches_high_precision_finite_differences():
             variant="drbce", lam=0.1, p_fn=5.0, p_fp=1.0, w1=0.6, w0=0.4,
             weight_mode="uniform",
         )
-        g = drbce_grad(z, y, cfg)
+        g = loss_grad(z, y, cfg)
         for i in range(z.size):
             zp = [mpmath.mpf(float(v)) for v in z]
             zm = list(zp)
@@ -130,11 +128,11 @@ def test_gradient_matches_high_precision_finite_differences():
 def test_gradient_extreme_logits_no_overflow():
     z = np.array([-500.0, 500.0])
     y = np.array([1.0, 0.0])
-    g = drbce_grad(z, y, LossConfig())
+    g = loss_grad(z, y, LossConfig())
     assert np.all(np.isfinite(g))
     # saturated-wrong-side gradient approaches the full penalty slope
     cfg = LossConfig(variant="drbce", lam=0.0, p_fn=5.0, p_fp=1.0, w1=1.0, w0=1.0)
-    g = drbce_grad(np.array([-500.0]), np.array([1.0]), cfg)
+    g = loss_grad(np.array([-500.0]), np.array([1.0]), cfg)
     assert g[0] == pytest.approx(-5.0, rel=1e-12)
 
 
@@ -182,8 +180,11 @@ def test_effective_reductions():
 def test_variant_dispatch():
     z = np.array([0.5, -0.5])
     y = np.array([1.0, 0.0])
-    assert loss_value(z, y, LossConfig(variant="bce")) == bce(z, y)
-    assert loss_value(z, y, LossConfig(variant="sd_bce", lam=0.2)) == sd_bce(z, y, 0.2)
+    # each variant is the drift-resilient loss with its effective coefficients
+    assert loss_value(z, y, BCE) == loss_value(z, y, NEUTRAL)
+    unit = replace(NEUTRAL, lam=0.2)
+    assert loss_value(z, y, sd_bce(0.2)) == loss_value(z, y, unit)
+    assert np.array_equal(loss_grad(z, y, sd_bce(0.2)), loss_grad(z, y, unit))
 
 
 def test_config_validation():
@@ -200,13 +201,14 @@ def test_config_validation():
 
 
 def test_batch_validation():
-    with pytest.raises(ShapeError):
-        bce(np.zeros(3), np.zeros(2))
-    with pytest.raises(DataError):
-        bce(np.zeros(0), np.zeros(0))
-    with pytest.raises(DataError):
-        bce(np.array([np.inf]), np.array([1.0]))
-    with pytest.raises(DataError):
-        bce(np.array([0.0]), np.array([2.0]))
+    for fn in (loss_value, loss_grad):
+        with pytest.raises(ShapeError):
+            fn(np.zeros(3), np.zeros(2), BCE)
+        with pytest.raises(DataError):
+            fn(np.zeros(0), np.zeros(0), BCE)
+        with pytest.raises(DataError):
+            fn(np.array([np.inf]), np.array([1.0]), BCE)
+        with pytest.raises(DataError):
+            fn(np.array([0.0]), np.array([2.0]), BCE)
     with pytest.raises(ConfigError):
-        sd_bce(np.array([0.0]), np.array([1.0]), -1.0)
+        LossConfig(variant="sd_bce", lam=-1.0)

@@ -22,7 +22,7 @@ from driftkit.model import (
     save_model,
     tensor_views,
 )
-from driftkit.numerics import make_rng, sigmoid
+from driftkit.numerics import dropout_mask, make_rng, sigmoid
 
 from conftest import tiny_model
 
@@ -172,6 +172,30 @@ def test_train_mode_dropout_seed_reproducible():
     z3, _ = forward(params, X, mode="train", rng=make_rng(12))
     assert np.array_equal(z1, z2)
     assert not np.array_equal(z1, z3)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_one_mask_draw_equals_a_draw_per_layer(blocks, rate):
+    """Train mode draws every trunk mask of a step at once; the cached
+    masks equal the masks drawn layer by layer from the same seed, also
+    for a short last batch, and the generator ends in the same state.
+    Without dropout no mask is drawn and no state consumed."""
+    cfg = ModelConfig(input_dim=4, trunk_width=6, n_residual_blocks=blocks,
+                      dropout_rate=rate, head_widths=(3,))
+    params = init_model(cfg, seed=2)
+    X = make_rng(1).standard_normal((13, 4))
+    rng, ref = make_rng(9), make_rng(9)
+    for lo, hi in ((0, 8), (8, 13)):
+        _, cache = forward(params, X[lo:hi], mode="train", rng=rng)
+        masks = [cache["entry"][1]] + [block[4] for block in cache["blocks"]]
+        assert len(masks) == 1 + blocks
+        for m in masks:
+            if rate == 0.0:
+                assert m is None
+            else:
+                assert np.array_equal(m, dropout_mask((hi - lo, 6), rate, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def numeric_grad(params, X, y, cfg, name, h=1e-5):

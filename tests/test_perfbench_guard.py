@@ -41,7 +41,8 @@ def test_tracer_installs_and_uninstalls(tracer):
 
 
 def _train_plain_then_traced(tracer, cfg):
-    """Same bytes with and without the tracer, one AdamW kernel call per step."""
+    """Same bytes with and without the tracer; one AdamW kernel call, one
+    dropout draw and one loss-gradient call per step."""
     ds = make_dataset(n=60, dim=4)
     tcfg = TrainConfig(n_val=20, batch_size=16, max_epochs=2, patience=2, lr=1e-2)
     plain, _ = training.train(ds, cfg, tcfg)
@@ -54,6 +55,9 @@ def _train_plain_then_traced(tracer, cfg):
     assert steps == 2 * 3
     assert calls["kernels.adamw_update"]["calls"] == steps
     assert calls["numerics.matmul.train_bwd"]["calls"] > 0
+    # one dropout draw per train-mode forward, one gradient call per step
+    assert calls["numerics.dropout_mask"]["calls"] == calls["model.forward.train"]["calls"]
+    assert calls["losses.loss_grad"]["calls"] == steps
 
 
 def test_training_runs_under_the_tracer(tracer):
