@@ -15,7 +15,7 @@ Subcommands:
 
 Shared flags: ``--config <file>`` (run config JSON; for synth it is the
 drift-spec JSON), ``--seed <int>`` and ``--out <dir>`` override the file
-values. ``DRIFTKIT_THREADS`` caps importance-scoring threads.
+values.
 
 Exit codes: 0 success, 2 configuration problem, 3 data problem (missing
 or malformed input, empty mask), 4 numeric divergence, 1 other failure.

@@ -1,55 +1,20 @@
 """Run configuration: one strict JSON document describing a full run.
 
-Schema (all keys optional, defaults shown; unknown keys are rejected so
-typos fail loudly instead of silently using a default):
+Besides ``seed``, ``out_dir`` and a ``data`` section of input paths
+(``train``, ``eval``, ``pfi``, ``mask``), the document has one section
+per typed config; its keys and defaults are the dataclass fields:
 
-    {
-      "seed": 0,
-      "out_dir": "run",
-      "data": {
-        "train": null,        # path to the training stream
-        "eval": null,         # path to the evaluation stream
-        "pfi": null,          # path to the importance-scoring set
-        "mask": null          # optional feature-mask JSON applied on load
-      },
-      "model": {
-        "input_dim": null,    # null = inferred from the (masked) data
-        "trunk_width": 512,
-        "n_residual_blocks": 2,
-        "dropout_rate": 0.2,
-        "head_widths": [128]
-      },
-      "loss": {
-        "variant": "drbce",   # bce | sd_bce | drbce
-        "lam": 0.1,
-        "p_fn": 5.0,
-        "p_fp": 1.0,
-        "weight_mode": "frequency"
-      },
-      "train": {
-        "validation": "recent",   # recent | random
-        "n_val": 1000,
-        "batch_size": 256,
-        "max_epochs": 100,
-        "patience": 10,
-        "selection_metric": "f1", # f1 | accuracy
-        "threshold": 0.5,
-        "lr": 1e-4,
-        "weight_decay": 1e-4
-      },
-      "pfi": {
-        "metric": "f1",
-        "n_repeats": 5,
-        "keep_threshold": 0.0,
-        "threshold": 0.5
-      },
-      "eval": {
-        "threshold": 0.5,
-        "epsilon": 0.1,
-        "persistence": 2,
-        "error_metric": "err"     # err | fnr
-      }
-    }
+    "model"  ModelConfig   (driftkit.model; input_dim null = inferred
+                            from the masked data)
+    "loss"   LossConfig    (driftkit.losses)
+    "train"  TrainConfig   (driftkit.training)
+    "pfi"    PfiConfig     (driftkit.pfi)
+    "eval"   EvalSettings  (below)
+
+Fields a run sets itself (``seed``, ``TrainConfig.loss``,
+``LossConfig.w0``/``w1``) are not keys. All keys are optional; unknown
+keys are rejected so typos fail loudly instead of silently using a
+default.
 
 ``config_hash`` is the first 16 hex digits of the SHA-256 of the fully
 resolved config serialized as canonical JSON (sorted keys, no spaces),
@@ -64,7 +29,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -75,47 +40,52 @@ from .training import TrainConfig
 
 ERROR_METRICS = ("err", "fnr")
 
+
+@dataclass(frozen=True)
+class EvalSettings:
+    threshold: float = 0.5
+    epsilon: float = 0.1
+    persistence: int = 2
+    error_metric: str = "err"
+
+    def __post_init__(self):
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError("eval.threshold must be in (0, 1)")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ConfigError(f"eval.epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.persistence < 1:
+            raise ConfigError("eval.persistence must be >= 1")
+        if self.error_metric not in ERROR_METRICS:
+            raise ConfigError(f"eval.error_metric must be one of {ERROR_METRICS}")
+
+
+# fields every run sets itself, so they are not config keys
+_RUN_SET = ("seed", "loss", "w0", "w1")
+_SECTIONS = {
+    "model": ModelConfig,
+    "loss": LossConfig,
+    "train": TrainConfig,
+    "pfi": PfiConfig,
+    "eval": EvalSettings,
+}
+
+
+def _defaults(cls) -> dict:
+    """A section's keys and JSON defaults from its dataclass fields: a
+    field without a default is null, a tuple default a list."""
+    out = {}
+    for f in fields(cls):
+        if f.name not in _RUN_SET:
+            value = None if f.default is MISSING else f.default
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 _SCHEMA = {
     "seed": 0,
     "out_dir": "run",
     "data": {"train": None, "eval": None, "pfi": None, "mask": None},
-    "model": {
-        "input_dim": None,
-        "trunk_width": 512,
-        "n_residual_blocks": 2,
-        "dropout_rate": 0.2,
-        "head_widths": [128],
-    },
-    "loss": {
-        "variant": "drbce",
-        "lam": 0.1,
-        "p_fn": 5.0,
-        "p_fp": 1.0,
-        "weight_mode": "frequency",
-    },
-    "train": {
-        "validation": "recent",
-        "n_val": 1000,
-        "batch_size": 256,
-        "max_epochs": 100,
-        "patience": 10,
-        "selection_metric": "f1",
-        "threshold": 0.5,
-        "lr": 1e-4,
-        "weight_decay": 1e-4,
-    },
-    "pfi": {
-        "metric": "f1",
-        "n_repeats": 5,
-        "keep_threshold": 0.0,
-        "threshold": 0.5,
-    },
-    "eval": {
-        "threshold": 0.5,
-        "epsilon": 0.1,
-        "persistence": 2,
-        "error_metric": "err",
-    },
+    **{name: _defaults(cls) for name, cls in _SECTIONS.items()},
 }
 
 
@@ -164,24 +134,6 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
 
 
 @dataclass(frozen=True)
-class EvalSettings:
-    threshold: float = 0.5
-    epsilon: float = 0.1
-    persistence: int = 2
-    error_metric: str = "err"
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("eval.threshold must be in (0, 1)")
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ConfigError(f"eval.epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.persistence < 1:
-            raise ConfigError("eval.persistence must be >= 1")
-        if self.error_metric not in ERROR_METRICS:
-            raise ConfigError(f"eval.error_metric must be one of {ERROR_METRICS}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Validated, fully-resolved run configuration."""
 
@@ -222,58 +174,20 @@ class RunConfig:
 
     def model_config(self, input_dim: int) -> ModelConfig:
         m = self.resolved["model"]
-        return ModelConfig(
-            input_dim=int(m["input_dim"]) if m["input_dim"] is not None else int(input_dim),
-            trunk_width=m["trunk_width"],
-            n_residual_blocks=m["n_residual_blocks"],
-            dropout_rate=m["dropout_rate"],
-            head_widths=tuple(m["head_widths"]),
-        )
+        dim = m["input_dim"] if m["input_dim"] is not None else input_dim
+        return ModelConfig(**{**m, "input_dim": int(dim)})
 
     def loss_config(self) -> LossConfig:
-        s = self.resolved["loss"]
-        return LossConfig(
-            variant=s["variant"],
-            lam=s["lam"],
-            p_fn=s["p_fn"],
-            p_fp=s["p_fp"],
-            weight_mode=s["weight_mode"],
-        )
+        return LossConfig(**self.resolved["loss"])
 
     def train_config(self) -> TrainConfig:
-        s = self.resolved["train"]
-        return TrainConfig(
-            loss=self.loss_config(),
-            validation=s["validation"],
-            n_val=s["n_val"],
-            batch_size=s["batch_size"],
-            max_epochs=s["max_epochs"],
-            patience=s["patience"],
-            seed=self.seed,
-            selection_metric=s["selection_metric"],
-            threshold=s["threshold"],
-            lr=s["lr"],
-            weight_decay=s["weight_decay"],
-        )
+        return TrainConfig(**self.resolved["train"], loss=self.loss_config(), seed=self.seed)
 
     def pfi_config(self) -> PfiConfig:
-        s = self.resolved["pfi"]
-        return PfiConfig(
-            metric=s["metric"],
-            n_repeats=s["n_repeats"],
-            seed=self.seed,
-            keep_threshold=s["keep_threshold"],
-            threshold=s["threshold"],
-        )
+        return PfiConfig(**self.resolved["pfi"], seed=self.seed)
 
     def eval_settings(self) -> EvalSettings:
-        s = self.resolved["eval"]
-        return EvalSettings(
-            threshold=s["threshold"],
-            epsilon=s["epsilon"],
-            persistence=s["persistence"],
-            error_metric=s["error_metric"],
-        )
+        return EvalSettings(**self.resolved["eval"])
 
     @property
     def config_hash(self) -> str:

@@ -34,8 +34,10 @@ def loss_forward(z, y, a1, a0, lam) -> float:
     """Mean weighted logistic loss plus mean (lam/2)*z^2 logit penalty.
 
     a1 scales the positive-label term, a0 the negative-label term. The
-    log-sigmoid terms are computed in logit space (softplus) so the value
-    stays finite for |z| up to ~1e300.
+    log-sigmoid terms are computed in logit space (softplus), so with
+    lam = 0 the value stays finite for |z| up to ~1e300. With lam > 0 the
+    penalty overflows to inf once |z| passes ~1.9e154 / sqrt(lam), which
+    training reports as a NumericError.
     """
     core = a1 * y * _softplus(-z) + a0 * (1.0 - y) * _softplus(z)
     # np.mean's reduction and division, without its Python-level wrapper

@@ -2,8 +2,10 @@
 and the drift-resilient variant with class weights and error-type penalties.
 
 All losses are functions of raw logits, never of clipped probabilities;
-log-sigmoid terms are evaluated as negative softplus so values and
-gradients stay finite for |z| up to about 1e300.
+log-sigmoid terms are evaluated as negative softplus so gradients, and
+values with lam = 0, stay finite for |z| up to about 1e300. With lam > 0
+the penalty overflows to inf once |z| passes about 1.9e154 / sqrt(lam),
+and training then stops with a NumericError.
 
 The drift-resilient loss over a batch of N (logit z_i, label y_i) pairs is
 
@@ -44,7 +46,7 @@ class LossConfig:
         "uniform"            w1 = w0 = 1
 
     The "bce" variant ignores every coefficient; "sd_bce" uses only lam.
-    Defaults are the tuned operating point: lam=0.1, p_fn=5, p_fp=1.
+    The defaults are the tuned operating point.
     """
 
     variant: str = "drbce"

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,19 +57,12 @@ class ModelConfig:
             raise ConfigError("n_residual_blocks must be >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        widths = tuple(int(w) for w in self.head_widths)
+        widths = tuple(self.head_widths)
+        if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in widths):
+            raise ConfigError(f"head widths must be integers, got {list(widths)!r}")
         if any(w < 1 for w in widths):
             raise ConfigError("head widths must be >= 1")
-        object.__setattr__(self, "head_widths", widths)
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "trunk_width": self.trunk_width,
-            "n_residual_blocks": self.n_residual_blocks,
-            "dropout_rate": self.dropout_rate,
-            "head_widths": list(self.head_widths),
-        }
+        object.__setattr__(self, "head_widths", tuple(int(w) for w in widths))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -466,7 +460,7 @@ def save_model(
     checkpoint intact.
     """
     header = {
-        "config": params.cfg.to_dict(),
+        "config": asdict(params.cfg),
         "mask": mask.to_dict() if mask is not None else None,
         "meta": meta or {},
         "layers": params.names(),

@@ -6,23 +6,20 @@ relationship while preserving the column's marginal distribution:
 
     importance(i) = E_base - mean over repeats of E(permuted_i)
 
-A feature is kept iff its importance strictly exceeds ``keep_threshold``
-(default 0): a feature whose permutation does not hurt the model carries
-no usable signal. A single repeat reproduces the plain algorithm; more
+A feature is kept iff its importance strictly exceeds ``keep_threshold``;
+at the default, a feature whose permutation does not hurt the model is
+dropped, since it carries no usable signal. A single repeat reproduces the plain algorithm; more
 repeats average out permutation luck.
 
 Every (feature, repeat) pair derives its own RNG from
-``SeedSequence((seed, feature, repeat))``, so results are identical
-whether features are evaluated in order, shuffled, or across threads.
+``SeedSequence((seed, feature, repeat))``, so results do not depend on
+the order in which features are evaluated.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +47,8 @@ class PfiConfig:
             raise ConfigError("n_repeats must be >= 1")
         if not math.isfinite(self.keep_threshold):
             raise ConfigError(f"keep_threshold must be finite, got {self.keep_threshold}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"pfi.threshold must be in (0, 1), got {self.threshold}")
 
 
 @dataclass
@@ -94,19 +93,8 @@ def column_importance(
     return e_base - total / cfg.n_repeats
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DRIFTKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_pfi(
-    params: ModelParams,
-    X: np.ndarray,
-    y,
-    cfg: PfiConfig,
-    n_threads: int | None = None,
+    params: ModelParams, X: np.ndarray, y, cfg: PfiConfig
 ) -> tuple[FeatureMask, PfiReport]:
     """Score every feature and return (mask of kept features, full report).
 
@@ -124,31 +112,15 @@ def run_pfi(
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ShapeError("labels length must match sample count")
-    if n_threads is None:
-        n_threads = default_threads()
 
     e_base = _score(params, X, y, cfg)
-    n_feat = X.shape[1]
-
-    if n_threads <= 1:
-        X_work = X.copy()
-        importances = np.array(
-            [column_importance(params, X_work, y, col, cfg, e_base) for col in range(n_feat)]
-        )
-    else:
-        local = threading.local()
-
-        def worker(col: int) -> float:
-            if not hasattr(local, "X_work"):
-                local.X_work = X.copy()
-            return column_importance(params, local.X_work, y, col, cfg, e_base)
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            importances = np.array(list(pool.map(worker, range(n_feat))))
-
+    X_work = X.copy()
+    importances = np.array(
+        [column_importance(params, X_work, y, col, cfg, e_base) for col in range(X.shape[1])]
+    )
     kept = importances > cfg.keep_threshold
     report = PfiReport(importances, kept, e_base, cfg.metric, cfg.n_repeats, cfg.seed)
     if not kept.any():
         raise EmptyMaskError("no feature importance exceeded the keep threshold", report)
-    mask = FeatureMask(tuple(int(i) for i in np.flatnonzero(kept)), n_feat)
+    mask = FeatureMask(tuple(int(i) for i in np.flatnonzero(kept)), X.shape[1])
     return mask, report

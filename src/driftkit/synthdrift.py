@@ -28,7 +28,7 @@ import calendar
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -88,22 +88,6 @@ class DriftSpec:
         if self.recurrent_period < 1:
             raise ConfigError("recurrent_period must be >= 1")
         _parse_month(self.start_month)
-
-    def to_dict(self) -> dict:
-        return {
-            "shape": self.shape,
-            "n_months": self.n_months,
-            "samples_per_month": self.samples_per_month,
-            "feature_dim": self.feature_dim,
-            "n_informative": self.n_informative,
-            "drift_month": self.drift_month,
-            "drift_magnitude": self.drift_magnitude,
-            "class_balance": self.class_balance,
-            "seed": self.seed,
-            "informative_scale": self.informative_scale,
-            "recurrent_period": self.recurrent_period,
-            "start_month": self.start_month,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DriftSpec":
@@ -217,7 +201,7 @@ def concept_truth(spec: DriftSpec) -> dict:
             }
         )
     return {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "informative_indices": [int(i) for i in info],
         "negative_mean": -spec.informative_scale,
         "positive_mean_base": spec.informative_scale,

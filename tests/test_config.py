@@ -76,6 +76,10 @@ def test_type_errors():
         RunConfig.from_dict({"train": {"n_val": True}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"model": {"head_widths": 128}})
+    with pytest.raises(ConfigError, match="head widths must be integers"):
+        RunConfig.from_dict({"model": {"head_widths": [128.7]}})
+    with pytest.raises(ConfigError, match="head widths must be integers"):
+        RunConfig.from_dict({"model": {"head_widths": [True]}})
 
 
 def test_value_validation_happens_at_load():
@@ -91,6 +95,10 @@ def test_value_validation_happens_at_load():
         RunConfig.from_dict({"out_dir": ""})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"model": {"dropout_rate": 1.5}})
+    with pytest.raises(ConfigError, match="threshold must be in"):
+        RunConfig.from_dict({"pfi": {"threshold": 1.5}})
+    with pytest.raises(ConfigError, match="threshold must be in"):
+        RunConfig.from_dict({"pfi": {"threshold": float("nan")}})
 
 
 def test_hash_ignores_out_dir():
@@ -106,6 +114,7 @@ def test_hash_tracks_computation_changes():
     assert RunConfig.from_dict({"seed": 1}).config_hash != base.config_hash
     assert RunConfig.from_dict({"loss": {"lam": 0.2}}).config_hash != base.config_hash
     # stable across processes and releases: pin the default hash
+    assert base.config_hash == "6c75eebcf0206a28"
     again = json.loads(json.dumps(base.resolved))
     assert RunConfig.from_dict(again).config_hash == base.config_hash
 

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -73,12 +74,16 @@ def test_model_config_validation():
         ModelConfig(input_dim=3, dropout_rate=1.0)
     with pytest.raises(ConfigError):
         ModelConfig(input_dim=3, head_widths=(0,))
+    with pytest.raises(ConfigError, match="head widths must be integers"):
+        ModelConfig(input_dim=3, head_widths=(128.7,))
+    with pytest.raises(ConfigError, match="head widths must be integers"):
+        ModelConfig(input_dim=3, head_widths=(True,))
 
 
 def test_model_config_round_trip():
     cfg = ModelConfig(input_dim=9, trunk_width=12, n_residual_blocks=3,
                       dropout_rate=0.25, head_widths=(8, 4))
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
 
 def test_init_he_uniform_bounds_and_zero_biases():

@@ -79,9 +79,9 @@ def test_pfi_under_the_tracer_keeps_bytes_and_counts_every_flop(tracer):
     cfg = ModelConfig(input_dim=8, trunk_width=512, n_residual_blocks=1, head_widths=(8,))
     params = model.init_model(cfg, seed=5)
     pcfg = PfiConfig(n_repeats=2, keep_threshold=-1.0)
-    _, plain = run_pfi(params, ds.features, ds.labels, pcfg, n_threads=1)
+    _, plain = run_pfi(params, ds.features, ds.labels, pcfg)
     tracer.install()
-    _, traced = run_pfi(params, ds.features, ds.labels, pcfg, n_threads=1)
+    _, traced = run_pfi(params, ds.features, ds.labels, pcfg)
     tracer.uninstall()
     assert plain.importances.tobytes() == traced.importances.tobytes()
 

@@ -7,7 +7,6 @@ from driftkit.model import ModelConfig, ModelParams, init_model, predict_proba
 from driftkit.pfi import (
     PfiConfig,
     column_importance,
-    default_threads,
     run_pfi,
 )
 from driftkit.training import TrainConfig, train
@@ -71,28 +70,6 @@ def test_importance_independent_of_evaluation_order():
     assert forward_order == list(reversed(reverse_order))
 
 
-def test_threaded_matches_serial():
-    params = single_feature_model()
-    X, y = signal_data(seed=2)
-    cfg = PfiConfig(n_repeats=6, seed=4)
-    mask1, rep1 = run_pfi(params, X, y, cfg, n_threads=1)
-    mask4, rep4 = run_pfi(params, X, y, cfg, n_threads=4)
-    assert np.array_equal(rep1.importances, rep4.importances)
-    assert mask1 == mask4
-
-
-def test_threaded_matches_serial_on_row_blocks():
-    """Wide enough that each of the 700-row scorings runs as two inference
-    blocks, so the pool's threads run blocked inference side by side."""
-    cfg = ModelConfig(input_dim=3, trunk_width=512, n_residual_blocks=1, head_widths=(8,))
-    params = init_model(cfg, seed=0)
-    X, y = signal_data(n=700, seed=2)
-    pcfg = PfiConfig(n_repeats=3, seed=4, keep_threshold=-1.0)
-    _, serial = run_pfi(params, X, y, pcfg, n_threads=1)
-    _, threaded = run_pfi(params, X, y, pcfg, n_threads=4)
-    assert serial.importances.tobytes() == threaded.importances.tobytes()
-
-
 def test_run_pfi_leaves_inputs_untouched():
     params = single_feature_model()
     X, y = signal_data(seed=3)
@@ -153,17 +130,8 @@ def test_config_validation():
         PfiConfig(metric="precision")
     with pytest.raises(ConfigError):
         PfiConfig(n_repeats=0)
-
-
-def test_default_threads(monkeypatch):
-    monkeypatch.delenv("DRIFTKIT_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("DRIFTKIT_THREADS", "4")
-    assert default_threads() == 4
-    monkeypatch.setenv("DRIFTKIT_THREADS", "0")
-    assert default_threads() == 1
-    monkeypatch.setenv("DRIFTKIT_THREADS", "many")
-    assert default_threads() == 1
+    with pytest.raises(ConfigError):
+        PfiConfig(threshold=0.0)
 
 
 def test_report_csv_round_trip(tmp_path):

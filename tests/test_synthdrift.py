@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_zero_magnitude_never_drifts():
 def test_truth_sidecar_consistency(tmp_path):
     spec = DriftSpec(**{**SMALL, "shape": "gradual"})
     truth = concept_truth(spec)
-    assert truth["spec"] == spec.to_dict()
+    assert truth["spec"] == asdict(spec)
     assert truth["informative_indices"] == [int(i) for i in informative_indices(spec)]
     assert truth["negative_mean"] == -1.0
     assert truth["positive_mean_base"] == 1.0
@@ -199,7 +200,7 @@ def test_truth_sidecar_consistency(tmp_path):
 
 def test_from_dict_round_trip_and_unknown_keys():
     spec = DriftSpec(**SMALL)
-    assert DriftSpec.from_dict(spec.to_dict()) == spec
+    assert DriftSpec.from_dict(asdict(spec)) == spec
     with pytest.raises(ConfigError, match="typo_key"):
         DriftSpec.from_dict({**SMALL, "typo_key": 1})
 
