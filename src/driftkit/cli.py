@@ -27,16 +27,20 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig
 from .data import (
     FeatureMask,
     apply_mask,
+    atomic_open,
     bucket_by_month,
     compose_masks,
     load_dataset,
     save_dataset,
+    write_json,
 )
 from .errors import (
     ConfigError,
@@ -46,10 +50,10 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .evaluation import detect_drift, evaluate_buckets, save_report_json
+from .evaluation import detect_drift, evaluate_buckets
 from .model import LoadedModel, load_model, save_model
 from .pfi import run_pfi
-from .synthdrift import DriftSpec, generate_stream, save_truth
+from .synthdrift import DriftSpec, concept_truth, generate_stream
 from .training import train
 
 DEFAULT_LAMBDAS = (0.5, 0.1, 0.05, 0.01, 0.001)
@@ -74,7 +78,8 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _stamp(cfg: RunConfig) -> str:
-    return f"config_hash={cfg.config_hash} seed={cfg.seed}"
+    """The run stamp as the ``# ...`` comment line of a CSV artifact."""
+    return " ".join(f"{key}={value}" for key, value in cfg.stamp.items())
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -133,7 +138,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ds = generate_stream(spec)
     save_dataset(ds, out / "stream.dset")
-    save_truth(spec, out / "truth.json")
+    write_json(out / "truth.json", concept_truth(spec))
     _wrote(out / "stream.dset")
     _wrote(out / "truth.json")
     return 0
@@ -150,8 +155,7 @@ def _run_train(cfg: RunConfig) -> "TrainHistory":
     params, history = train(ds, model_cfg, cfg.train_config())
     out = _out_dir(cfg)
     meta = {
-        "config_hash": cfg.config_hash,
-        "seed": cfg.seed,
+        **cfg.stamp,
         "best_epoch": history.best_epoch,
         "best_score": history.best_score,
         "selection_metric": cfg.train_config().selection_metric,
@@ -159,10 +163,8 @@ def _run_train(cfg: RunConfig) -> "TrainHistory":
         "n_val": history.n_val,
     }
     save_model(params, out / "model.dnet", mask=mask, meta=meta)
-    history.save(
-        out / "history.json", extra={"config_hash": cfg.config_hash, "seed": cfg.seed}
-    )
-    cfg.save(out / "config.json")
+    write_json(out / "history.json", {**asdict(history), **cfg.stamp})
+    write_json(out / "config.json", cfg.resolved, sort_keys=True)
     return history
 
 
@@ -189,7 +191,7 @@ def cmd_pfi(args) -> int:
         raise
     if model.mask is not None:
         mask = compose_masks(model.mask, mask)
-    mask.save(out / "mask.json", extra={"config_hash": cfg.config_hash, "seed": cfg.seed})
+    write_json(out / "mask.json", {**mask.to_dict(), **cfg.stamp})
     report.write_csv(out / "pfi_report.csv", comment=_stamp(cfg))
     _wrote(out / "mask.json")
     _wrote(out / "pfi_report.csv")
@@ -208,12 +210,7 @@ def _run_eval(cfg: RunConfig) -> tuple:
     )
     out = _out_dir(cfg)
     report.write_csv(out / "metrics.csv", comment=_stamp(cfg))
-    save_report_json(
-        report,
-        verdict,
-        out / "metrics.json",
-        extra={"config_hash": cfg.config_hash, "seed": cfg.seed},
-    )
+    write_json(out / "metrics.json", {**report.to_json(), "drift": asdict(verdict), **cfg.stamp})
     return report, verdict
 
 
@@ -245,12 +242,20 @@ def _load_grid(path) -> tuple[list, list]:
         raise ConfigError(f"unknown grid key: {sorted(unknown)[0]}")
     lambdas = raw.get("lambdas", list(DEFAULT_LAMBDAS))
     pairs = raw.get("penalty_pairs", [list(p) for p in DEFAULT_PENALTY_PAIRS])
-    if not lambdas or not pairs:
-        raise ConfigError("grid lists must be non-empty")
-    for pair in pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"penalty pair must be [p_fn, p_fp], got {pair!r}")
-    return list(lambdas), [list(p) for p in pairs]
+    if not _numbers(lambdas):
+        raise ConfigError(f"grid lambdas must be a non-empty list of numbers, got {lambdas!r}")
+    if not (isinstance(pairs, list) and pairs and all(_numbers(p, 2) for p in pairs)):
+        raise ConfigError(
+            f"grid penalty_pairs must be a non-empty list of [p_fn, p_fp], got {pairs!r}"
+        )
+    return lambdas, pairs
+
+
+def _numbers(value, length: int | None = None) -> bool:
+    """Whether ``value`` is a non-empty list of numbers, ``length`` long if given."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        return False
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
 
 
 def _cell_name(lam: float, p_fn: float, p_fp: float) -> str:
@@ -294,7 +299,7 @@ def cmd_sweep(args) -> int:
             rows.append(row)
             print(f"cell {cell}: best_score={history.best_score:.4f}")
     sweep_csv = base_out / "sweep.csv"
-    with open(sweep_csv, "w", newline="") as fh:
+    with atomic_open(sweep_csv, newline="") as fh:
         fh.write(f"# {_stamp(cfg)}\n")
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -303,17 +308,67 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _scan_runs(run_dir: Path) -> list[dict]:
-    runs = []
+REPORT_FIELDS = (
+    "model",
+    "config_hash",
+    "seed",
+    "epochs_run",
+    "best_epoch",
+    "best_score",
+    "agg_acc",
+    "agg_f1",
+    "agg_fnr",
+    "drift_onset",
+    "drift_persisted",
+)
+
+
+@contextmanager
+def _run_file(path: Path):
+    """The JSON object in a run's ``path``; malformed content, read or
+    used inside the block, raises DataError naming the file."""
+    try:
+        doc = json.loads(path.read_text())
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
+        yield doc
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed run file: {exc}") from None
+
+
+def _report_rows(run_dir: Path) -> tuple[list, list]:
+    """Rows of report.csv and f1_over_time.csv for every run under
+    ``run_dir``, all read before anything is written."""
+    rows, over_time = [], []
     for hist_path in sorted(run_dir.rglob("history.json")):
-        d = hist_path.parent
-        entry = {"dir": d, "name": str(d.relative_to(run_dir)) or ".", "history": None, "metrics": None}
-        entry["history"] = json.loads(hist_path.read_text())
-        metrics_path = d / "metrics.json"
+        name = str(hist_path.parent.relative_to(run_dir)) or "."
+        row = dict.fromkeys(REPORT_FIELDS, "")
+        with _run_file(hist_path) as h:
+            row.update(
+                model=name,
+                config_hash=h.get("config_hash", ""),
+                seed=h.get("seed", ""),
+                epochs_run=len(h.get("train_loss", [])),
+                best_epoch=h.get("best_epoch", ""),
+                best_score=h.get("best_score", ""),
+            )
+        metrics_path = hist_path.parent / "metrics.json"
         if metrics_path.is_file():
-            entry["metrics"] = json.loads(metrics_path.read_text())
-        runs.append(entry)
-    return runs
+            with _run_file(metrics_path) as m:
+                agg = m.get("aggregate", {})
+                verdict = m.get("drift") or {}
+                row.update(
+                    agg_acc=_blank_none(agg.get("acc")),
+                    agg_f1=_blank_none(agg.get("f1")),
+                    agg_fnr=_blank_none(agg.get("fnr")),
+                    drift_onset=_blank_none(verdict.get("onset")),
+                    drift_persisted=_blank_none(verdict.get("persisted")),
+                )
+                for b in m.get("buckets", []):
+                    for metric in ("f1", "acc", "err"):
+                        over_time.append([name, b["bucket"], metric, _blank_none(b.get(metric))])
+        rows.append(row)
+    return rows, over_time
 
 
 def cmd_report(args) -> int:
@@ -322,71 +377,20 @@ def cmd_report(args) -> int:
     run_dir = Path(args.out)
     if not run_dir.is_dir():
         raise DataError(f"run directory not found: {run_dir}")
-    runs = _scan_runs(run_dir)
-    if not runs:
+    rows, over_time = _report_rows(run_dir)
+    if not rows:
         raise DataError(f"no history.json found under {run_dir}")
 
     report_csv = run_dir / "report.csv"
-    fields = [
-        "model",
-        "config_hash",
-        "seed",
-        "epochs_run",
-        "best_epoch",
-        "best_score",
-        "agg_acc",
-        "agg_f1",
-        "agg_fnr",
-        "drift_onset",
-        "drift_persisted",
-    ]
-    with open(report_csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+    with atomic_open(report_csv, newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
         writer.writeheader()
-        for run in runs:
-            h = run["history"]
-            row = {
-                "model": run["name"],
-                "config_hash": h.get("config_hash", ""),
-                "seed": h.get("seed", ""),
-                "epochs_run": len(h.get("train_loss", [])),
-                "best_epoch": h.get("best_epoch", ""),
-                "best_score": h.get("best_score", ""),
-                "agg_acc": "",
-                "agg_f1": "",
-                "agg_fnr": "",
-                "drift_onset": "",
-                "drift_persisted": "",
-            }
-            m = run["metrics"]
-            if m is not None:
-                agg = m.get("aggregate", {})
-                row["agg_acc"] = _blank_none(agg.get("acc"))
-                row["agg_f1"] = _blank_none(agg.get("f1"))
-                row["agg_fnr"] = _blank_none(agg.get("fnr"))
-                verdict = m.get("drift") or {}
-                row["drift_onset"] = _blank_none(verdict.get("onset"))
-                row["drift_persisted"] = _blank_none(verdict.get("persisted"))
-            writer.writerow(row)
-
+        writer.writerows(rows)
     over_time_csv = run_dir / "f1_over_time.csv"
-    with open(over_time_csv, "w", newline="") as fh:
+    with atomic_open(over_time_csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "bucket", "metric", "value"])
-        for run in runs:
-            m = run["metrics"]
-            if m is None:
-                continue
-            for bucket_row in m.get("buckets", []):
-                for metric in ("f1", "acc", "err"):
-                    writer.writerow(
-                        [
-                            run["name"],
-                            bucket_row["bucket"],
-                            metric,
-                            _blank_none(bucket_row.get(metric)),
-                        ]
-                    )
+        writer.writerows(over_time)
     _wrote(report_csv)
     _wrote(over_time_csv)
     return 0

@@ -20,7 +20,8 @@ default.
 resolved config serialized as canonical JSON (sorted keys, no spaces),
 with ``out_dir`` excluded: it identifies the computation, not where the
 artifacts land, so the same run into two directories hashes the same.
-Every artifact a command writes embeds this hash plus the seed.
+Every artifact a command writes embeds this hash plus the seed, the pair
+``RunConfig.stamp`` returns.
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ class RunConfig:
     resolved: dict
 
     def __post_init__(self):
+        dim = self.resolved["model"]["input_dim"]
+        if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
+            raise ConfigError("model.input_dim must be an integer or null")
         # instantiate every typed section eagerly so bad values fail at
         # load time with the section name in the message, not mid-run
         try:
@@ -147,7 +151,7 @@ class RunConfig:
             self.train_config()
             self.pfi_config()
             self.eval_settings()
-            self.model_config(input_dim=self.resolved["model"]["input_dim"] or 1)
+            self.model_config(input_dim=dim or 1)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
@@ -157,9 +161,6 @@ class RunConfig:
         for role, path in self.resolved["data"].items():
             if path is not None and not isinstance(path, str):
                 raise ConfigError(f"data.{role} must be a path string or null")
-        dim = self.resolved["model"]["input_dim"]
-        if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
-            raise ConfigError("model.input_dim must be an integer or null")
 
     @property
     def seed(self) -> int:
@@ -194,6 +195,11 @@ class RunConfig:
         hashed = {k: v for k, v in self.resolved.items() if k != "out_dir"}
         canon = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+    @property
+    def stamp(self) -> dict:
+        """The keys every artifact of this run carries."""
+        return {"config_hash": self.config_hash, "seed": self.seed}
 
     def with_overrides(
         self, seed: int | None = None, out_dir: str | None = None, **sections
@@ -231,9 +237,6 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
         return cls.from_dict(raw)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.resolved, indent=2, sort_keys=True) + "\n")
 
 
 def default_config() -> RunConfig:

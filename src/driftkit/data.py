@@ -15,13 +15,21 @@ Binary  magic ``DSET``, version byte 1, then little-endian u32 feature_dim,
         feature_dim float32 values. Features widen to float64 in memory.
 Mask    JSON ``{"original_dim": int, "kept_indices": [int, ...]}``; extra
         keys are ignored on read.
+
+Every file the package writes goes through ``atomic_open``: it is written
+under a temporary name in the target's directory and renamed over the
+target only once complete, so a failed or interrupted write leaves the
+previous file whole and no temporary behind (no fsync: power loss is not
+covered).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,12 +116,6 @@ class FeatureMask:
         except (TypeError, ValueError) as e:
             raise FormatError(f"malformed feature mask: {e}") from None
 
-    def save(self, path, extra: dict | None = None) -> None:
-        doc = self.to_dict()
-        if extra:
-            doc.update(extra)
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
     @classmethod
     def load(cls, path) -> "FeatureMask":
         try:
@@ -127,6 +129,28 @@ class FeatureMask:
 # ---------------------------------------------------------------------------
 # loading / saving
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **open_kwargs):
+    """Open ``.{name}.{pid}.tmp`` next to ``path`` for writing. A clean
+    exit renames it over ``path``; an exception removes it and re-raises,
+    leaving ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc, **dumps_kwargs) -> None:
+    """Write ``doc`` as indented JSON plus a newline, atomically."""
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, **dumps_kwargs) + "\n")
+
 
 def _load_csv(path: Path) -> Dataset:
     rows = []
@@ -250,7 +274,7 @@ def save_dataset(ds: Dataset, path, format: str | None = None) -> None:
     path = Path(path)
     fmt = _infer_format(path, format)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["timestamp", "label"] + [f"f{i}" for i in range(ds.feature_dim)])
             for i in range(len(ds)):
@@ -259,7 +283,7 @@ def save_dataset(ds: Dataset, path, format: str | None = None) -> None:
                     + [repr(float(v)) for v in ds.features[i]]
                 )
     elif fmt == "jsonl":
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             for i in range(len(ds)):
                 fh.write(
                     json.dumps(
@@ -277,7 +301,7 @@ def save_dataset(ds: Dataset, path, format: str | None = None) -> None:
         body["ts"] = ds.timestamps
         body["label"] = ds.labels
         body["feat"] = ds.features.astype(np.float32)
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(bytes([_VERSION]))
             fh.write(struct.pack("<IQ", ds.feature_dim, len(ds)))

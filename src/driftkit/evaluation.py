@@ -16,12 +16,11 @@ the evaluated window.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import atomic_open
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParams, predict_proba
 
@@ -93,18 +92,6 @@ class BucketRow:
     fpr: float | None
     err: float | None  # 1 - acc
 
-    def to_dict(self) -> dict:
-        return {
-            "bucket": self.bucket,
-            "n": self.n,
-            "n_pos": self.n_pos,
-            "acc": self.acc,
-            "f1": self.f1,
-            "fnr": self.fnr,
-            "fpr": self.fpr,
-            "err": self.err,
-        }
-
 
 def _row_from_confusion(label: str, c: ConfusionCounts) -> BucketRow:
     if c.total == 0:
@@ -129,12 +116,12 @@ class MetricsReport:
     def to_json(self) -> dict:
         return {
             "threshold": self.threshold,
-            "buckets": [r.to_dict() for r in self.rows],
-            "aggregate": self.aggregate.to_dict(),
+            "buckets": [asdict(r) for r in self.rows],
+            "aggregate": asdict(self.aggregate),
         }
 
     def write_csv(self, path, comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
             w = csv.writer(fh)
@@ -176,9 +163,6 @@ class DriftVerdict:
     onset: int | None
     persisted: bool
 
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "onset": self.onset, "persisted": self.persisted}
-
 
 def detect_drift(error_series, epsilon: float, persistence: int = 2) -> DriftVerdict:
     """Find the first bucket index starting ``persistence`` consecutive
@@ -197,12 +181,3 @@ def detect_drift(error_series, epsilon: float, persistence: int = 2) -> DriftVer
             break
     persisted = onset is not None and all(exceeds[onset:])
     return DriftVerdict(epsilon, onset, persisted)
-
-
-def save_report_json(report: MetricsReport, verdict: DriftVerdict | None, path, extra=None):
-    doc = report.to_json()
-    if verdict is not None:
-        doc["drift"] = verdict.to_dict()
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .data import FeatureMask
+from .data import FeatureMask, atomic_open
 from .errors import ConfigError, DriftkitError, FormatError, ShapeError, StateError
 from .numerics import dropout_mask, make_rng, matmul, relu, sigmoid
 
@@ -374,12 +373,13 @@ def predict_proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
 class OptimizerState:
     """AdamW hyper-parameters and moments. Weight decay skips biases.
 
+    ``lr`` and ``weight_decay`` come from the run's ``TrainConfig``.
     ``m`` and ``v`` are flat vectors in the parameters' layout. The bias
     positions and the kernel's scratch vectors are built on the first step.
     """
 
-    lr: float = 1e-4
-    weight_decay: float = 1e-4
+    lr: float
+    weight_decay: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -390,18 +390,10 @@ class OptimizerState:
     scratch: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def init_optimizer(
-    params: ModelParams,
-    lr: float = 1e-4,
-    weight_decay: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
-    state = OptimizerState(lr, weight_decay, beta1, beta2, eps)
-    state.m = np.zeros_like(params.flat)
-    state.v = np.zeros_like(params.flat)
-    return state
+def init_optimizer(params: ModelParams, lr: float, weight_decay: float) -> OptimizerState:
+    return OptimizerState(
+        lr, weight_decay, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat)
+    )
 
 
 def adamw_step(params: ModelParams, grads, state: OptimizerState) -> None:
@@ -455,8 +447,7 @@ def save_model(
 ) -> None:
     """Write a DNET checkpoint: config, optional mask, metadata, tensors.
 
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so a failed write leaves any previous
+    Written through ``atomic_open``, so a failed write leaves any previous
     checkpoint intact.
     """
     header = {
@@ -467,17 +458,10 @@ def save_model(
         "optimizer": None,
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC + bytes([_VERSION]) + struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(_MAGIC + bytes([_VERSION]) + struct.pack("<I", len(header_bytes)))
+        fh.write(header_bytes)
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
 
 
 def _parse_header(header) -> tuple:

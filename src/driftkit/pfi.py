@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMask
+from .data import FeatureMask, atomic_open
 from .errors import ConfigError, DataError, EmptyMaskError, ShapeError
 from .evaluation import confusion, metrics
 from .model import ModelParams, predict_proba
@@ -61,7 +61,7 @@ class PfiReport:
     seed: int
 
     def write_csv(self, path, comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
             w = csv.writer(fh)

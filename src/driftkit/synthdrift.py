@@ -25,12 +25,10 @@ sample-for-sample regardless of generation order.
 from __future__ import annotations
 
 import calendar
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -207,7 +205,3 @@ def concept_truth(spec: DriftSpec) -> dict:
         "positive_mean_base": spec.informative_scale,
         "months": months,
     }
-
-
-def save_truth(spec: DriftSpec, path) -> None:
-    Path(path).write_text(json.dumps(concept_truth(spec), indent=2) + "\n")

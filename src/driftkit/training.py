@@ -10,10 +10,8 @@ you have, then measure decay on data from after the training window.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -93,29 +91,6 @@ class TrainHistory:
     @property
     def epochs_run(self) -> int:
         return len(self.train_loss)
-
-    def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_acc": self.val_acc,
-            "val_f1": self.val_f1,
-            "val_fnr": self.val_fnr,
-            "val_fpr": self.val_fpr,
-            "best_epoch": self.best_epoch,
-            "best_score": self.best_score,
-            "stopped_early": self.stopped_early,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "resolved_w0": self.resolved_w0,
-            "resolved_w1": self.resolved_w1,
-        }
-
-    def save(self, path, extra: dict | None = None) -> None:
-        doc = self.to_dict()
-        if extra:
-            doc.update(extra)
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _selection_score(m, metric: str) -> float:

@@ -145,14 +145,21 @@ def test_sweep_single_cell_reproduces_train(workdir):
     assert lines[2].startswith("lam0.1_fn5_fp1,0.1,5.0,1.0,")
 
 
-def test_sweep_rejects_bad_grid(workdir, tmp_path):
+def test_sweep_rejects_bad_grid(workdir, tmp_path, capsys):
     bad = tmp_path / "grid.json"
-    bad.write_text(json.dumps({"lambdas": [0.1], "pairs": [[1, 1]]}))
-    assert main(["sweep", "--config", str(workdir["cfg_path"]),
-                 "--out", str(tmp_path / "s"), "--grid", str(bad)]) == 2
-    bad.write_text(json.dumps({"penalty_pairs": [[1, 2, 3]]}))
-    assert main(["sweep", "--config", str(workdir["cfg_path"]),
-                 "--out", str(tmp_path / "s"), "--grid", str(bad)]) == 2
+    cases = [
+        ({"lambdas": [0.1], "pairs": [[1, 1]]}, "pairs"),
+        ({"penalty_pairs": [[1, 2, 3]]}, "penalty_pairs"),
+        ({"lambdas": 5}, "lambdas"),
+        ({"lambdas": [0.1, True]}, "lambdas"),
+        ({"penalty_pairs": [["a", 1]]}, "penalty_pairs"),
+    ]
+    for grid, key in cases:
+        bad.write_text(json.dumps(grid))
+        assert main(["sweep", "--config", str(workdir["cfg_path"]),
+                     "--out", str(tmp_path / "s"), "--grid", str(bad)]) == 2, grid
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_report_consolidates(workdir):
@@ -422,12 +429,35 @@ def test_synth_errors(tmp_path):
     assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "s")]) == 2
 
 
-def test_report_errors(tmp_path):
+def test_report_errors(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "missing")]) == 3
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", "--out", str(empty)]) == 3
     assert main(["report"]) == 2
+
+    good = {"train_loss": [0.5], "best_epoch": 0, "best_score": 0.9}
+    cases = [
+        ("history.json", "{bad"),
+        ("history.json", "[1, 2]"),
+        ("metrics.json", json.dumps({"buckets": 3})),
+        ("metrics.json", json.dumps({"buckets": [{"f1": 0.5}]})),
+        ("metrics.json", json.dumps({"aggregate": [0.5]})),
+        ("metrics.json", "[]"),
+    ]
+    for name, text in cases:
+        root = tmp_path / f"runs-{name}-{len(text)}"
+        # a well-formed run sorts first, so a partial report would hold its row
+        for run in ("a", "b"):
+            (root / run).mkdir(parents=True)
+            (root / run / "history.json").write_text(json.dumps(good))
+        (root / "b" / name).write_text(text)
+        assert main(["report", "--out", str(root)]) == 3, text
+        assert str(root / "b" / name) in capsys.readouterr().err
+        assert not (root / "report.csv").exists()
+        assert not (root / "f1_over_time.csv").exists()
+    (tmp_path / "odd" / "a" / "history.json").mkdir(parents=True)
+    assert main(["report", "--out", str(tmp_path / "odd")]) == 3
 
 
 def test_no_subcommand_exits_via_argparse():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from driftkit.config import EvalSettings, RunConfig, default_config
+from driftkit.data import write_json
 from driftkit.errors import ConfigError
 
 
@@ -80,6 +81,9 @@ def test_type_errors():
         RunConfig.from_dict({"model": {"head_widths": [128.7]}})
     with pytest.raises(ConfigError, match="head widths must be integers"):
         RunConfig.from_dict({"model": {"head_widths": [True]}})
+    for dim in ("abc", [3]):
+        with pytest.raises(ConfigError, match="^model.input_dim must be an integer or null$"):
+            RunConfig.from_dict({"model": {"input_dim": dim}})
 
 
 def test_value_validation_happens_at_load():
@@ -115,6 +119,9 @@ def test_hash_tracks_computation_changes():
     assert RunConfig.from_dict({"loss": {"lam": 0.2}}).config_hash != base.config_hash
     # stable across processes and releases: pin the default hash
     assert base.config_hash == "6c75eebcf0206a28"
+    assert base.stamp == {"config_hash": "6c75eebcf0206a28", "seed": 0}
+    seeded = base.with_overrides(seed=3)
+    assert seeded.stamp == {"config_hash": seeded.config_hash, "seed": 3}
     again = json.loads(json.dumps(base.resolved))
     assert RunConfig.from_dict(again).config_hash == base.config_hash
 
@@ -145,7 +152,7 @@ def test_with_overrides_rejects_unknowns():
 def test_save_and_from_file(tmp_path):
     cfg = RunConfig.from_dict({"seed": 5, "data": {"train": "x.dset"}})
     p = tmp_path / "config.json"
-    cfg.save(p)
+    write_json(p, cfg.resolved, sort_keys=True)
     loaded = RunConfig.from_file(p)
     assert loaded.resolved == cfg.resolved
     assert loaded.config_hash == cfg.config_hash

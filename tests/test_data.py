@@ -16,6 +16,7 @@ from driftkit.data import (
     save_dataset,
     split_random,
     split_recent,
+    write_json,
 )
 from driftkit.errors import (
     ConfigError,
@@ -335,7 +336,7 @@ def test_feature_mask_validation():
 def test_feature_mask_save_load_tolerates_extra_keys(tmp_path):
     mask = FeatureMask((1, 3), 4)
     p = tmp_path / "mask.json"
-    mask.save(p, extra={"config_hash": "abc", "note": "x"})
+    write_json(p, {**mask.to_dict(), "config_hash": "abc", "note": "x"})
     doc = json.loads(p.read_text())
     assert doc["config_hash"] == "abc"
     back = FeatureMask.load(p)

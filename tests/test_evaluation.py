@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from driftkit.data import Dataset, bucket_by_month
+from driftkit.data import Dataset, bucket_by_month, write_json
 from driftkit.errors import ConfigError, DataError, ShapeError
 from driftkit.evaluation import (
     BucketRow,
@@ -15,7 +16,6 @@ from driftkit.evaluation import (
     detect_drift,
     evaluate_buckets,
     metrics,
-    save_report_json,
 )
 
 from conftest import make_dataset
@@ -131,7 +131,7 @@ def test_report_csv_and_json(tmp_path):
     assert [b["bucket"] for b in doc["buckets"]] == ["2021-01", "2021-02", "2021-03"]
     assert doc["aggregate"]["f1"] == 0.8
     out = tmp_path / "metrics.json"
-    save_report_json(r, DriftVerdict(0.3, 2, True), out, extra={"seed": 5})
+    write_json(out, {**doc, "drift": asdict(DriftVerdict(0.3, 2, True)), "seed": 5})
     loaded = json.loads(out.read_text())
     assert loaded["drift"] == {"epsilon": 0.3, "onset": 2, "persisted": True}
     assert loaded["seed"] == 5

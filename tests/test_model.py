@@ -375,7 +375,7 @@ def test_adamw_step_matches_reference_and_skips_bias_decay():
 
 def test_adamw_step_validates_gradients():
     params = tiny_model()
-    state = init_optimizer(params)
+    state = init_optimizer(params, lr=1e-4, weight_decay=1e-4)
     with pytest.raises(ShapeError):
         adamw_step(params, {}, state)
     grads = {n: np.zeros_like(params.tensors[n]) for n in params.names()}
@@ -449,44 +449,6 @@ def test_backward_writes_into_gradient_buffer():
     adamw_step(params, buf, state)
     adamw_step(before, fresh, init_optimizer(before, lr=0.01, weight_decay=0.1))
     assert np.array_equal(params.flat, before.flat)
-
-
-def test_failed_save_leaves_previous_checkpoint_intact(tmp_path, monkeypatch):
-    path = tmp_path / "model.dnet"
-    save_model(tiny_model(seed=1), path)
-    good = path.read_bytes()
-
-    real_open = open
-
-    class DiskFull:
-        """File that accepts 64 bytes and then fails, like a full disk."""
-
-        def __init__(self, *args):
-            self.fh = real_open(*args)
-            self.room = 64
-
-        def write(self, data):
-            n = memoryview(data).nbytes
-            if n > self.room:
-                raise OSError(28, "No space left on device")
-            self.room -= n
-            return self.fh.write(data)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-    import driftkit.model as model_module
-
-    monkeypatch.setattr(model_module, "open", DiskFull, raising=False)
-    with pytest.raises(OSError, match="No space"):
-        save_model(tiny_model(seed=2), path)
-    monkeypatch.undo()
-    assert path.read_bytes() == good
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.dnet"]
-    assert np.array_equal(load_model(path).params.flat, tiny_model(seed=1).flat)
 
 
 def test_save_is_byte_deterministic(tmp_path):

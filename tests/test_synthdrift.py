@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from driftkit.data import bucket_by_month
+from driftkit.data import bucket_by_month, write_json
 from driftkit.errors import ConfigError
 from driftkit.synthdrift import (
     DRIFT_SHAPES,
@@ -13,7 +13,6 @@ from driftkit.synthdrift import (
     concept_weight,
     generate_stream,
     informative_indices,
-    save_truth,
 )
 
 SMALL = dict(n_months=4, samples_per_month=200, feature_dim=8, n_informative=3,
@@ -194,7 +193,7 @@ def test_truth_sidecar_consistency(tmp_path):
     assert dists == [0.0, 0.0, 2.0, 2.0]
 
     out = tmp_path / "truth.json"
-    save_truth(spec, out)
+    write_json(out, concept_truth(spec))
     assert json.loads(out.read_text()) == truth
 
 

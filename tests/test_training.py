@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from driftkit.data import split_recent
+from driftkit.data import split_recent, write_json
 from driftkit.errors import ConfigError, NumericError
 from driftkit.evaluation import confusion, metrics
 from driftkit.losses import LossConfig
@@ -36,7 +37,7 @@ def test_train_is_deterministic(toy_dataset):
     p1, h1 = train(toy_dataset, small_model(), quick_cfg())
     p2, h2 = train(toy_dataset, small_model(), quick_cfg())
     assert params_equal(p1, p2)
-    assert h1.to_dict() == h2.to_dict()
+    assert asdict(h1) == asdict(h2)
 
 
 def test_seed_changes_initialization(toy_dataset):
@@ -171,7 +172,7 @@ def test_config_validation():
 def test_history_save_with_extras(tmp_path):
     hist = TrainHistory(train_loss=[1.0, 0.5], best_epoch=1, best_score=0.9)
     out = tmp_path / "history.json"
-    hist.save(out, extra={"config_hash": "deadbeef"})
+    write_json(out, {**asdict(hist), "config_hash": "deadbeef"})
     doc = json.loads(out.read_text())
     assert doc["train_loss"] == [1.0, 0.5]
     assert doc["config_hash"] == "deadbeef"
