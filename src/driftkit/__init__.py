@@ -3,7 +3,7 @@ timestamped streams whose input distribution drifts.
 
 The pieces, bottom up:
 
-  numerics    seeded RNG, stable sigmoid, matmul/relu/dropout primitives
+  numerics    seeded RNG, stable sigmoid, matmul and dropout primitives
   kernels     elementwise hot loops: sigmoid, loss, AdamW
   data        datasets, loaders (csv / jsonl / binary), splits, buckets
   losses      weighted cross-entropy with miss/false-alarm penalties and

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -39,6 +38,7 @@ from .data import (
     bucket_by_month,
     compose_masks,
     load_dataset,
+    read_json,
     save_dataset,
     write_json,
 )
@@ -122,12 +122,7 @@ def cmd_synth(args) -> int:
     p = Path(args.config)
     if not p.is_file():
         raise ConfigError(f"drift spec file not found: {p}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("drift spec must be a JSON object")
+    raw = read_json(p, ConfigError)
     if args.seed is not None:
         raw["seed"] = args.seed
     try:
@@ -231,12 +226,7 @@ def _load_grid(path) -> tuple[list, list]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"grid file not found: {p}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("grid file must be a JSON object")
+    raw = read_json(p, ConfigError)
     unknown = set(raw) - {"lambdas", "penalty_pairs"}
     if unknown:
         raise ConfigError(f"unknown grid key: {sorted(unknown)[0]}")
@@ -328,10 +318,7 @@ def _run_file(path: Path):
     """The JSON object in a run's ``path``; malformed content, read or
     used inside the block, raises DataError naming the file."""
     try:
-        doc = json.loads(path.read_text())
-        if not isinstance(doc, dict):
-            raise TypeError("not a JSON object")
-        yield doc
+        yield read_json(path, DataError)
     except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed run file: {exc}") from None
 

@@ -31,8 +31,8 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from pathlib import Path
 
+from .data import read_json
 from .errors import ConfigError
 from .losses import LossConfig
 from .model import ModelConfig
@@ -231,13 +231,4 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        p = Path(path)
-        try:
-            raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
-        return cls.from_dict(raw)
-
-
-def default_config() -> RunConfig:
-    return RunConfig.from_dict({})
+        return cls.from_dict(read_json(path, ConfigError))

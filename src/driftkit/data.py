@@ -2,7 +2,9 @@
 splitting, monthly bucketing, and feature-mask application.
 
 A Dataset is stored column-wise (features matrix, label vector, timestamp
-vector) and is immutable by convention: every operation returns new values.
+vector) and is immutable by convention: nothing in the package writes into
+a dataset's arrays. Most operations return new arrays; the buckets of
+``bucket_by_month`` are row-slice views that share memory with the stream.
 Timestamps are collection metadata (seconds since epoch, UTC), never model
 features; they exist to support chronological splits and bucketing.
 
@@ -59,7 +61,9 @@ class Dataset:
             raise ShapeError("labels/timestamps length must match sample count")
         if lab.size and not np.all((lab == 0) | (lab == 1)):
             raise DataError("labels must be 0 or 1")
-        if f.size and not np.all(np.isfinite(f)):
+        # min and max propagate NaN and reach any infinity, so this checks
+        # every value without an (n, d) boolean temporary
+        if f.size and not (np.isfinite(f.min()) and np.isfinite(f.max())):
             raise DataError("feature values must be finite")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", lab)
@@ -73,7 +77,9 @@ class Dataset:
         return self.features.shape[0]
 
     def subset(self, idx, name: str | None = None) -> "Dataset":
-        idx = np.asarray(idx)
+        """Rows ``idx`` (indices or booleans: a copy; a slice: a view)."""
+        if not isinstance(idx, slice):
+            idx = np.asarray(idx)
         return Dataset(
             self.features[idx],
             self.labels[idx],
@@ -118,10 +124,9 @@ class FeatureMask:
 
     @classmethod
     def load(cls, path) -> "FeatureMask":
+        doc = read_json(path, FormatError)
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: feature mask file is not valid JSON: {e}") from None
+            return cls.from_dict(doc)
         except FormatError as e:
             raise FormatError(f"{path}: {e}") from None
 
@@ -152,9 +157,21 @@ def write_json(path, doc, **dumps_kwargs) -> None:
         fh.write(json.dumps(doc, indent=2, **dumps_kwargs) + "\n")
 
 
+def read_json(path, error: type) -> dict:
+    """The JSON object in ``path``; non-UTF-8 bytes, invalid JSON or a
+    non-object raise ``error`` naming the path. Mirrors ``write_json``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    return doc
+
+
 def _load_csv(path: Path) -> Dataset:
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -190,7 +207,7 @@ def _load_csv(path: Path) -> Dataset:
 def _load_jsonl(path: Path) -> Dataset:
     ts_list, lab_list, feat_list = [], [], []
     width = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -263,11 +280,15 @@ def _infer_format(path: Path, fmt: str | None) -> str:
 
 
 def load_dataset(path, format: str | None = None) -> Dataset:
-    """Load a dataset file (csv, jsonl, or binary; inferred from extension)."""
+    """Load a dataset file (csv, jsonl, or binary; inferred from extension).
+    Text formats must be UTF-8; other bytes raise ParseError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    return _FORMATS[_infer_format(path, format)](path)
+    try:
+        return _FORMATS[_infer_format(path, format)](path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def save_dataset(ds: Dataset, path, format: str | None = None) -> None:
@@ -300,12 +321,13 @@ def save_dataset(ds: Dataset, path, format: str | None = None) -> None:
         body = np.empty(len(ds), dtype=rec)
         body["ts"] = ds.timestamps
         body["label"] = ds.labels
-        body["feat"] = ds.features.astype(np.float32)
+        # the same float64 -> float32 rounding as astype, without the copy
+        body["feat"] = ds.features
         with atomic_open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(bytes([_VERSION]))
             fh.write(struct.pack("<IQ", ds.feature_dim, len(ds)))
-            fh.write(body.tobytes())
+            fh.write(body)
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +374,27 @@ _LAST_MONTH = (9999 - 1970) * 12 + 11
 def bucket_by_month(ds: Dataset) -> list[tuple[str, Dataset]]:
     """Split into UTC calendar-month buckets, ascending, including empty
     months between the first and last occupied ones. A timestamp outside
-    the years 1-9999 raises DataError."""
+    the years 1-9999 raises DataError. Buckets are row-slice views of
+    ``ds``, or of one stable-sorted copy when it is out of time order."""
     if len(ds) == 0:
         return []
-    order = np.argsort(ds.timestamps, kind="stable")
-    # months since 1970-01, ascending along ``order``
-    months = ds.timestamps[order].astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+    ts = ds.timestamps
+    if not np.all(ts[:-1] <= ts[1:]):
+        ds = ds.subset(np.argsort(ts, kind="stable"))
+        ts = ds.timestamps
+    # months since 1970-01, ascending
+    months = ts.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
     for end in (0, -1):
         if not _FIRST_MONTH <= months[end] <= _LAST_MONTH:
             raise DataError(
-                f"{ds.name or 'dataset'}: timestamp {ds.timestamps[order[end]]} "
-                "lies outside the years 1-9999"
+                f"{ds.name or 'dataset'}: timestamp {ts[end]} lies outside the years 1-9999"
             )
     first, last = int(months[0]), int(months[-1])
     edges = np.searchsorted(months, np.arange(first, last + 2))
     out = []
     for m, lo, hi in zip(range(first, last + 1), edges, edges[1:]):
         label = month_label(1970 + m // 12, m % 12 + 1)
-        out.append((label, ds.subset(order[lo:hi], name=f"{ds.name}/{label}")))
+        out.append((label, ds.subset(slice(lo, hi), name=f"{ds.name}/{label}")))
     return out
 
 

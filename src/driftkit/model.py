@@ -33,7 +33,7 @@ import numpy as np
 from . import kernels
 from .data import FeatureMask, atomic_open
 from .errors import ConfigError, DriftkitError, FormatError, ShapeError, StateError
-from .numerics import dropout_mask, make_rng, matmul, relu, sigmoid
+from .numerics import dropout_mask, make_rng, matmul, sigmoid
 
 _MAGIC = b"DNET"
 _VERSION = 1
@@ -172,6 +172,12 @@ def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
     return params
 
 
+def _dense_relu(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = matmul(h, W)
+    a += b
+    return np.maximum(a, 0.0, out=a)
+
+
 def forward(
     params: ModelParams,
     X: np.ndarray,
@@ -181,9 +187,10 @@ def forward(
     """Run the network; returns (logits[batch], cache for backward).
 
     Train mode draws fresh dropout masks from ``rng``, one call for all
-    trunk layers; eval mode is deterministic. The cache holds every
-    intermediate needed by ``backward`` and is tied to this exact params
-    object.
+    trunk layers; eval mode is deterministic. The cache, tied to this
+    exact params object, holds X, the masks and each layer's output after
+    its in-place ReLU and dropout, never a pre-activation: entry
+    ``(h, m0)``, residual blocks ``(h_in, u, h, mk)``, heads ``(h_in, h)``.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -206,36 +213,30 @@ def forward(
     t = params.tensors
     cache: dict = {"params_id": id(params), "mode": mode, "X": X, "blocks": [], "heads": []}
 
-    # biases and dropout masks are applied in place, to fresh products and
-    # activations that are cached only in their final, masked state
-    pre0 = matmul(X, t["entry.W"])
-    pre0 += t["entry.b"]
-    h = relu(pre0)
+    # biases, ReLUs and dropout masks are applied in place, to fresh
+    # products that are cached only in their final, activated state
+    h = _dense_relu(X, t["entry.W"], t["entry.b"])
     m0 = masks[0]
     if m0 is not None:
         h *= m0
-    cache["entry"] = (pre0, m0)
+    cache["entry"] = (h, m0)
 
     for k in range(cfg.n_residual_blocks):
         h_in = h
-        upre = matmul(h_in, t[f"block{k}.W1"])
-        upre += t[f"block{k}.b1"]
-        u = relu(upre)
-        spre = matmul(u, t[f"block{k}.W2"])
-        spre += t[f"block{k}.b2"]
-        spre += h_in
-        h = relu(spre)
+        u = _dense_relu(h_in, t[f"block{k}.W1"], t[f"block{k}.b1"])
+        h = matmul(u, t[f"block{k}.W2"])
+        h += t[f"block{k}.b2"]
+        h += h_in
+        np.maximum(h, 0.0, out=h)
         mk = masks[k + 1]
         if mk is not None:
             h *= mk
-        cache["blocks"].append((h_in, upre, u, spre, mk))
+        cache["blocks"].append((h_in, u, h, mk))
 
     for j in range(len(cfg.head_widths)):
         h_in = h
-        tpre = matmul(h_in, t[f"head{j}.W"])
-        tpre += t[f"head{j}.b"]
-        h = relu(tpre)
-        cache["heads"].append((h_in, tpre))
+        h = _dense_relu(h_in, t[f"head{j}.W"], t[f"head{j}.b"])
+        cache["heads"].append((h_in, h))
 
     cache["h_last"] = h
     z = matmul(h, t["out.W"])
@@ -253,6 +254,10 @@ def backward(
     layout (a new one when None), and returned as its name -> view dict.
     The cache must come from a forward call on this same params object;
     anything else raises StateError.
+
+    Each ReLU mask is ``output > 0``: ``max(p, 0) > 0`` holds exactly when
+    ``p > 0`` (NaN fails both), and where dropout zeroed an output the
+    gradient is already +-0, which either mask keeps.
     """
     if cache.get("params_id") != id(params):
         raise StateError("cache does not belong to these parameters")
@@ -279,31 +284,31 @@ def backward(
     # dropout and ReLU masks multiply it in place. A boolean mask counts
     # as 0.0/1.0; the kink at exactly 0 takes gradient 0.
     for j in reversed(range(len(cfg.head_widths))):
-        h_in, tpre = cache["heads"][j]
-        dtpre = np.multiply(dh, tpre > 0.0, out=dh)
+        h_in, h = cache["heads"][j]
+        dtpre = np.multiply(dh, h > 0.0, out=dh)
         grads[f"head{j}.W"][...] = matmul(h_in.T, dtpre)
         np.add.reduce(dtpre, axis=0, out=grads[f"head{j}.b"])
         dh = matmul(dtpre, t[f"head{j}.W"].T)
 
     for k in reversed(range(cfg.n_residual_blocks)):
-        h_in, upre, u, spre, mk = cache["blocks"][k]
+        h_in, u, h, mk = cache["blocks"][k]
         if mk is not None:
             dh *= mk
-        dspre = np.multiply(dh, spre > 0.0, out=dh)
+        dspre = np.multiply(dh, h > 0.0, out=dh)
         grads[f"block{k}.W2"][...] = matmul(u.T, dspre)
         np.add.reduce(dspre, axis=0, out=grads[f"block{k}.b2"])
         du = matmul(dspre, t[f"block{k}.W2"].T)
-        dupre = np.multiply(du, upre > 0.0, out=du)
+        dupre = np.multiply(du, u > 0.0, out=du)
         grads[f"block{k}.W1"][...] = matmul(h_in.T, dupre)
         np.add.reduce(dupre, axis=0, out=grads[f"block{k}.b1"])
         # skip connection: gradient re-enters the block input directly
         dh = matmul(dupre, t[f"block{k}.W1"].T)
         dh += dspre
 
-    pre0, m0 = cache["entry"]
+    h0, m0 = cache["entry"]
     if m0 is not None:
         dh *= m0
-    dpre0 = np.multiply(dh, pre0 > 0.0, out=dh)
+    dpre0 = np.multiply(dh, h0 > 0.0, out=dh)
     grads["entry.W"][...] = matmul(cache["X"].T, dpre0)
     np.add.reduce(dpre0, axis=0, out=grads["entry.b"])
     return grads
@@ -317,12 +322,6 @@ _BLOCK_ROWS = 256
 # small-matrix kernel whose summation order can differ from its blocked
 # GEMM, so a row block must stay above it wherever the whole product does.
 _SMALL_GEMM = 100**3
-
-
-def _dense_relu(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = matmul(h, W)
-    a += b
-    return np.maximum(a, 0.0, out=a)
 
 
 def predict_logits(params: ModelParams, X: np.ndarray) -> np.ndarray:

@@ -47,10 +47,6 @@ def sigmoid(z):
     return kernels.sigmoid(z.ravel()).reshape(z.shape)
 
 
-def relu(x: Matrix) -> Matrix:
-    return np.maximum(x, 0.0)
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Matrix:
     """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
 

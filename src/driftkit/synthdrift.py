@@ -150,12 +150,18 @@ def generate_stream(spec: DriftSpec) -> Dataset:
     shift_per_dim = (
         spec.drift_magnitude / np.sqrt(spec.n_informative) if spec.drift_magnitude else 0.0
     )
-    feats, labels, stamps = [], [], []
+    n = spec.samples_per_month
+    rows = spec.n_months * n
+    feats = np.empty((rows, spec.feature_dim))
+    labels = np.empty(rows, dtype=np.uint8)
+    stamps = np.empty(rows, dtype=np.int64)
     for month in range(spec.n_months):
+        part = slice(month * n, (month + 1) * n)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, month))))
-        n = spec.samples_per_month
-        y = (rng.random(n) < spec.class_balance).astype(np.uint8)
-        X = rng.standard_normal((n, spec.feature_dim))
+        y = labels[part]
+        y[...] = rng.random(n) < spec.class_balance
+        # filled in place: the same draws, in the same order, as a new matrix
+        X = rng.standard_normal(out=feats[part])
         w = concept_weight(spec, month)
         if spec.shape == "gradual" and 0.0 < w:
             # per-sample concept choice: old mean or fully shifted mean
@@ -167,15 +173,8 @@ def generate_stream(spec: DriftSpec) -> Dataset:
             shift[pos], np.full(spec.n_informative, shift_per_dim)
         )
         X[np.ix_(~pos, info)] -= spec.informative_scale
-        feats.append(X)
-        labels.append(y)
-        stamps.append(_month_timestamps(spec, month))
-    return Dataset(
-        np.vstack(feats),
-        np.concatenate(labels),
-        np.concatenate(stamps),
-        name=f"synth-{spec.shape}",
-    )
+        stamps[part] = _month_timestamps(spec, month)
+    return Dataset(feats, labels, stamps, name=f"synth-{spec.shape}")
 
 
 def concept_truth(spec: DriftSpec) -> dict:

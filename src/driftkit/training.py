@@ -168,10 +168,11 @@ def train(
             epoch_loss += value * len(idx)
             dz = loss_grad(z, yb, loss_cfg)
             backward(params, cache, dz, out=grads)
+            del cache  # so that two steps' activations never coexist
             adamw_step(params, grads, opt)
         hist.train_loss.append(epoch_loss / len(train_ds))
 
-        zval, _ = forward(params, Xval, mode="eval")
+        zval = forward(params, Xval, mode="eval")[0]  # its cache is dropped at once
         if not np.isfinite(zval).all():
             raise NumericError(
                 f"training diverged: non-finite validation logits at epoch {epoch}"

@@ -162,15 +162,24 @@ def test_sweep_rejects_bad_grid(workdir, tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-def test_report_consolidates(workdir):
-    root = workdir["root"]
+def test_report_consolidates(workdir, tmp_path):
+    """Builds the runs it counts: run1 (trained and evaluated), a bare
+    train run and a one-cell sweep with its evaluation."""
+    root = tmp_path / "runs"
+    shutil.copytree(workdir["run"], root / "run1")
+    cfg_path = str(workdir["cfg_path"])
+    assert main(["train", "--config", cfg_path, "--seed", "1",
+                 "--out", str(root / "run_seed1")]) == 0
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"lambdas": [0.1], "penalty_pairs": [[5, 1]]}))
+    assert main(["sweep", "--config", cfg_path, "--out", str(root / "sweep"),
+                 "--grid", str(grid)]) == 0
     assert main(["report", "--out", str(root)]) == 0
     rows = (root / "report.csv").read_text().splitlines()
     header = rows[0].split(",")
     assert header[:3] == ["model", "config_hash", "seed"]
-    assert len(rows) >= 3  # run1, run_seed1, sweep cell at minimum
     names = [r.split(",")[0] for r in rows[1:]]
-    assert "run1" in names
+    assert names == ["run1", "run_seed1", "sweep/lam0.1_fn5_fp1"]
     long_rows = (root / "f1_over_time.csv").read_text().splitlines()
     assert long_rows[0] == "model,bucket,metric,value"
     # run1 has metrics.json: 4 buckets x 3 metrics
@@ -419,6 +428,48 @@ def test_synth_rejects_wrongly_typed_spec_field(tmp_path, capsys, key, value):
     spec.write_text(json.dumps({**DRIFT_SPEC, key: value}))
     assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "s")]) == 2
     assert key in capsys.readouterr().err
+
+
+def _non_utf8(command, role):
+    """``command`` with the input ``role`` replaced by non-UTF-8 bytes."""
+    def setup(workdir, tmp_path):
+        bad = tmp_path / {"spec": "spec.json", "config": "run.json", "grid": "grid.json",
+                          "mask": "mask.json", "csv": "rows.csv", "jsonl": "rows.jsonl",
+                          "history": "runs/a/history.json"}[role]
+        bad.parent.mkdir(parents=True, exist_ok=True)
+        bad.write_bytes(b"\xff\xfe{}")
+        cfg = json.loads(json.dumps(workdir["cfg"]))
+        cfg["out_dir"] = str(tmp_path / "o")
+        if role in ("csv", "jsonl"):
+            cfg["data"]["train"] = str(bad)
+        elif role == "mask":
+            cfg["data"]["mask"] = str(bad)
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(cfg))
+        argv = {
+            "synth": ["synth", "--config", str(bad), "--out", str(tmp_path / "o")],
+            "sweep": ["sweep", "--config", str(good), "--grid", str(bad)],
+            "report": ["report", "--out", str(tmp_path / "runs")],
+        }.get(command, [command, "--config", str(bad if role == "config" else good)])
+        return argv, bad
+    return setup
+
+
+@pytest.mark.parametrize("setup, code", [
+    (_non_utf8("synth", "spec"), 2),
+    (_non_utf8("train", "config"), 2),
+    (_non_utf8("sweep", "grid"), 2),
+    (_non_utf8("train", "mask"), 3),
+    (_non_utf8("report", "history"), 3),
+    (_non_utf8("train", "csv"), 3),
+    (_non_utf8("train", "jsonl"), 3),
+], ids=["drift-spec", "run-config", "sweep-grid", "mask", "report-run-file", "csv", "jsonl"])
+def test_non_utf8_input_fails_cleanly_naming_it(workdir, tmp_path, capsys, setup, code):
+    argv, bad = setup(workdir, tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_errors(tmp_path):

@@ -2,13 +2,13 @@ import json
 
 import pytest
 
-from driftkit.config import EvalSettings, RunConfig, default_config
+from driftkit.config import EvalSettings, RunConfig
 from driftkit.data import write_json
 from driftkit.errors import ConfigError
 
 
 def test_defaults():
-    cfg = default_config()
+    cfg = RunConfig.from_dict({})
     assert cfg.seed == 0
     assert cfg.out_dir == "run"
     assert cfg.data_path("train") is None
@@ -114,7 +114,7 @@ def test_hash_ignores_out_dir():
 
 
 def test_hash_tracks_computation_changes():
-    base = default_config()
+    base = RunConfig.from_dict({})
     assert RunConfig.from_dict({"seed": 1}).config_hash != base.config_hash
     assert RunConfig.from_dict({"loss": {"lam": 0.2}}).config_hash != base.config_hash
     # stable across processes and releases: pin the default hash
@@ -127,7 +127,7 @@ def test_hash_tracks_computation_changes():
 
 
 def test_with_overrides():
-    base = default_config()
+    base = RunConfig.from_dict({})
     cfg = base.with_overrides(seed=7, out_dir="elsewhere", loss={"lam": 0.01, "p_fn": 3})
     assert cfg.seed == 7
     assert cfg.out_dir == "elsewhere"
@@ -142,7 +142,7 @@ def test_with_overrides():
 
 
 def test_with_overrides_rejects_unknowns():
-    base = default_config()
+    base = RunConfig.from_dict({})
     with pytest.raises(ConfigError, match="unknown config section"):
         base.with_overrides(optimizer={"lr": 1.0})
     with pytest.raises(ConfigError, match="loss.gamma"):

@@ -1,0 +1,134 @@
+"""Memory bounds, measured with tracemalloc, which numpy reports its
+array buffers to. Each measured call runs once untraced first, so
+one-time allocations (lazy imports, caches) are not counted."""
+
+import tracemalloc
+from datetime import datetime, timezone
+
+import numpy as np
+import pytest
+
+from driftkit.data import Dataset, bucket_by_month, load_dataset, save_dataset
+from driftkit.model import ModelConfig, forward, init_model
+from driftkit.synthdrift import (
+    DRIFT_SHAPES,
+    DriftSpec,
+    _month_timestamps,
+    concept_weight,
+    generate_stream,
+    informative_indices,
+)
+
+
+def _traced(fn):
+    """(result, bytes the call still holds, peak bytes during the call)."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_eval_forward_caches_no_pre_activations(blocks):
+    """An eval-mode cache holds each layer's output once: the entry output,
+    two outputs per residual block and one per head, plus the logits."""
+    n, trunk, heads = 300, 128, (48, 24)
+    cfg = ModelConfig(input_dim=10, trunk_width=trunk, n_residual_blocks=blocks,
+                      head_widths=heads)
+    params = init_model(cfg, seed=0)
+    X = np.random.default_rng(1).standard_normal((n, 10))
+    _, held, _ = _traced(lambda: forward(params, X, mode="eval"))
+    outputs = 8 * n * ((1 + 2 * blocks) * trunk + sum(heads) + 1)
+    assert outputs <= held <= outputs + 16 * 1024
+
+
+def _stream_by_vstack(spec):
+    """The formulation generate_stream replaced: one new matrix per month,
+    stacked at the end."""
+    info = informative_indices(spec)
+    shift_per_dim = (
+        spec.drift_magnitude / np.sqrt(spec.n_informative) if spec.drift_magnitude else 0.0
+    )
+    feats, labels, stamps = [], [], []
+    for month in range(spec.n_months):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, month))))
+        n = spec.samples_per_month
+        y = (rng.random(n) < spec.class_balance).astype(np.uint8)
+        X = rng.standard_normal((n, spec.feature_dim))
+        w = concept_weight(spec, month)
+        if spec.shape == "gradual" and 0.0 < w:
+            shift = (rng.random(n) < w).astype(np.float64)
+        else:
+            shift = np.full(n, w)
+        pos = y == 1
+        X[np.ix_(pos, info)] += spec.informative_scale - np.outer(
+            shift[pos], np.full(spec.n_informative, shift_per_dim)
+        )
+        X[np.ix_(~pos, info)] -= spec.informative_scale
+        feats.append(X)
+        labels.append(y)
+        stamps.append(_month_timestamps(spec, month))
+    return np.vstack(feats), np.concatenate(labels), np.concatenate(stamps)
+
+
+@pytest.mark.parametrize("shape", DRIFT_SHAPES)
+def test_generate_stream_equals_per_month_vstack(shape):
+    spec = DriftSpec(shape=shape, n_months=7, samples_per_month=123, feature_dim=9,
+                     n_informative=4, drift_month=2, seed=5)
+    ds = generate_stream(spec)
+    X, y, ts = _stream_by_vstack(spec)
+    assert ds.features.tobytes() == X.tobytes()
+    assert ds.labels.tobytes() == y.tobytes()
+    assert ds.timestamps.tobytes() == ts.tobytes()
+
+
+def test_generate_stream_holds_one_feature_matrix():
+    spec = DriftSpec(n_months=12, samples_per_month=1000, feature_dim=30, seed=3)
+    ds, _, peak = _traced(lambda: generate_stream(spec))
+    assert peak <= 1.2 * ds.features.nbytes
+
+
+def test_binary_save_allocates_the_records_once(tmp_path):
+    ds = generate_stream(DriftSpec(n_months=6, samples_per_month=1000, feature_dim=30, drift_month=3))
+    path = tmp_path / "s.dset"
+    record_bytes = len(ds) * (8 + 1 + 4 * ds.feature_dim)
+    _, _, peak = _traced(lambda: save_dataset(ds, path))
+    assert peak <= record_bytes + 32 * 1024
+    back = load_dataset(path)
+    assert np.array_equal(back.features, ds.features.astype(np.float32))
+
+
+def test_buckets_of_a_time_ordered_stream_are_views():
+    ds = generate_stream(DriftSpec(n_months=6, samples_per_month=500, feature_dim=12, drift_month=3))
+    buckets, held, _ = _traced(lambda: bucket_by_month(ds))
+    assert len(buckets) == 6
+    for _, b in buckets:
+        for part in ("features", "labels", "timestamps"):
+            assert np.shares_memory(getattr(b, part), getattr(ds, part))
+    assert held < ds.features.nbytes / 10
+
+
+def test_buckets_of_a_shuffled_stream_equal_fancy_index_copies():
+    """Out of time order, with tied timestamps, each bucket equals a
+    fancy-index copy of its rows in stable timestamp order."""
+    rng = np.random.default_rng(7)
+    stamps = 1_609_459_200 + np.sort(rng.integers(0, 200 * 86_400, size=40))
+    ts = rng.choice(stamps, size=600)
+    ds = Dataset(rng.standard_normal((600, 5)), rng.integers(0, 2, 600), ts, name="mix")
+    month = np.array(
+        [datetime.fromtimestamp(int(t), timezone.utc).strftime("%Y-%m") for t in ts]
+    )
+    buckets = bucket_by_month(ds)
+    assert [label for label, _ in buckets] == sorted(set(month))
+    for label, b in buckets:
+        rows = np.flatnonzero(month == label)
+        rows = rows[np.argsort(ts[rows], kind="stable")]
+        want = ds.subset(rows, name=f"mix/{label}")
+        assert b.name == want.name
+        for part in ("features", "labels", "timestamps"):
+            assert np.array_equal(getattr(b, part), getattr(want, part))
+        assert not np.shares_memory(b.features, ds.features)

@@ -193,7 +193,7 @@ def test_one_mask_draw_equals_a_draw_per_layer(blocks, rate):
     rng, ref = make_rng(9), make_rng(9)
     for lo, hi in ((0, 8), (8, 13)):
         _, cache = forward(params, X[lo:hi], mode="train", rng=rng)
-        masks = [cache["entry"][1]] + [block[4] for block in cache["blocks"]]
+        masks = [cache["entry"][1]] + [block[3] for block in cache["blocks"]]
         assert len(masks) == 1 + blocks
         for m in masks:
             if rate == 0.0:
@@ -267,10 +267,12 @@ def test_backward_through_train_mode_dropout():
 
 
 def _cached_arrays(cache):
+    """Every array the cache holds, once: a layer's output is also the
+    next layer's cached input."""
     parts = [cache["X"], cache["h_last"], *cache["entry"]]
     for group in cache["blocks"] + cache["heads"]:
         parts += group
-    return [a for a in parts if a is not None]
+    return list({id(a): a for a in parts if a is not None}.values())
 
 
 def test_backward_leaves_the_forward_cache_intact():

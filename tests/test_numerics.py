@@ -8,7 +8,6 @@ from driftkit.numerics import (
     dropout_mask,
     make_rng,
     matmul,
-    relu,
     sigmoid,
 )
 
@@ -52,11 +51,11 @@ def test_sigmoid_preserves_shape():
 
 
 def test_relu_and_grad():
+    # a one-layer net whose pre-activations are x shows the ReLU that
+    # forward applies and the gradient that backward takes through it: the
+    # kink at exactly zero takes gradient 0, so finite-difference checks
+    # must avoid evaluating there
     x = np.array([[-2.0, -0.0, 0.0, 3.5]])
-    assert np.array_equal(relu(x), [[0.0, 0.0, 0.0, 3.5]])
-    # backward applies the ReLU gradient; a one-layer net whose
-    # pre-activations are x shows it: the kink at exactly zero takes
-    # gradient 0, so finite-difference checks must avoid evaluating there
     cfg = ModelConfig(input_dim=1, trunk_width=4, n_residual_blocks=0,
                       dropout_rate=0.0, head_widths=())
     params = ModelParams.from_tensors(cfg, {
@@ -64,6 +63,7 @@ def test_relu_and_grad():
         "out.W": np.full((4, 1), -1.0), "out.b": np.zeros(1),
     })
     _, cache = forward(params, np.zeros((1, 1)))
+    assert np.array_equal(cache["entry"][0], [[0.0, 0.0, 0.0, 3.5]])
     grads = backward(params, cache, np.ones(1))
     assert np.array_equal(grads["entry.b"], [0.0, 0.0, 0.0, -1.0])
 

@@ -42,12 +42,14 @@ def test_tracer_installs_and_uninstalls(tracer):
 
 def _train_plain_then_traced(tracer, cfg):
     """Same bytes with and without the tracer; one AdamW kernel call, one
-    dropout draw and one loss-gradient call per step."""
+    dropout draw and one loss-gradient call per step; validation scored
+    through the traced ``forward``, once per epoch, in the ``train_val``
+    matmul context."""
     ds = make_dataset(n=60, dim=4)
     tcfg = TrainConfig(n_val=20, batch_size=16, max_epochs=2, patience=2, lr=1e-2)
     plain, _ = training.train(ds, cfg, tcfg)
     tracer.install()
-    traced, _ = training.train(ds, cfg, tcfg)
+    traced, history = training.train(ds, cfg, tcfg)
     tracer.uninstall()
     assert np.array_equal(plain.flat, traced.flat)
     calls = tracer.aggregate(0)
@@ -58,6 +60,8 @@ def _train_plain_then_traced(tracer, cfg):
     # one dropout draw per train-mode forward, one gradient call per step
     assert calls["numerics.dropout_mask"]["calls"] == calls["model.forward.train"]["calls"]
     assert calls["losses.loss_grad"]["calls"] == steps
+    assert calls["model.forward.val"]["calls"] == history.epochs_run
+    assert calls["numerics.matmul.train_val"]["calls"] > 0
 
 
 def test_training_runs_under_the_tracer(tracer):
