@@ -176,7 +176,7 @@ class RunConfig:
     def model_config(self, input_dim: int) -> ModelConfig:
         m = self.resolved["model"]
         dim = m["input_dim"] if m["input_dim"] is not None else input_dim
-        return ModelConfig(**{**m, "input_dim": int(dim)})
+        return ModelConfig(**{**m, "input_dim": dim})
 
     def loss_config(self) -> LossConfig:
         return LossConfig(**self.resolved["loss"])

@@ -12,9 +12,11 @@ On-disk formats
 ---------------
 CSV     header ``timestamp,label,f0,...,f{d-1}``; integer seconds, 0/1 label.
 JSONL   one object per line: ``{"ts": int, "label": 0|1, "features": [...]}``.
-Binary  magic ``DSET``, version byte 1, then little-endian u32 feature_dim,
-        u64 sample_count, and per sample: i64 timestamp, u8 label,
+Binary  magic ``DSET``, version byte 1, then little-endian u32 feature_dim
+        (>= 1), u64 sample_count, and per sample: i64 timestamp, u8 label,
         feature_dim float32 values. Features widen to float64 in memory.
+        Records are read and written one <= 1 MiB chunk at a time, so
+        memory holds the float64 matrix plus one chunk, not the file.
 Mask    JSON ``{"original_dim": int, "kept_indices": [int, ...]}``; extra
         keys are ignored on read.
 
@@ -42,6 +44,7 @@ from .numerics import make_rng
 
 _MAGIC = b"DSET"
 _VERSION = 1
+_CHUNK_BYTES = 1 << 20  # bytes of binary records held at once
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class Dataset:
         ts = np.asarray(self.timestamps, dtype=np.int64)
         if lab.shape != (f.shape[0],) or ts.shape != (f.shape[0],):
             raise ShapeError("labels/timestamps length must match sample count")
-        if lab.size and not np.all((lab == 0) | (lab == 1)):
+        if lab.size and lab.max() > 1:  # uint8: no boolean temporaries
             raise DataError("labels must be 0 or 1")
         # min and max propagate NaN and reach any infinity, so this checks
         # every value without an (n, d) boolean temporary
@@ -170,7 +173,7 @@ def read_json(path, error: type) -> dict:
 
 
 def _load_csv(path: Path) -> Dataset:
-    rows = []
+    stamps, labels, feats = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -188,20 +191,14 @@ def _load_csv(path: Path) -> Dataset:
                     f"{path} row {lineno}: expected {width + 2} columns, got {len(rec)}"
                 )
             try:
-                ts = int(rec[0])
-                label = int(rec[1])
-                feats = [float(v) for v in rec[2:]]
+                stamps.append(int(rec[0]))
+                labels.append(int(rec[1]))
+                feats.append([float(v) for v in rec[2:]])
             except ValueError as e:
                 raise ParseError(f"{path}: {e}", row=lineno) from None
-            rows.append((ts, label, feats))
-    if not rows:
+    if not feats:
         raise DataError(f"{path}: empty dataset file")
-    return Dataset(
-        np.array([r[2] for r in rows], dtype=np.float64),
-        np.array([r[1] for r in rows], dtype=np.uint8),
-        np.array([r[0] for r in rows], dtype=np.int64),
-        name=path.stem,
-    )
+    return Dataset(feats, labels, stamps, name=path.stem)
 
 
 def _load_jsonl(path: Path) -> Dataset:
@@ -232,36 +229,49 @@ def _load_jsonl(path: Path) -> Dataset:
             feat_list.append(feats)
     if not feat_list:
         raise DataError(f"{path}: empty dataset file")
-    return Dataset(
-        np.array(feat_list, dtype=np.float64),
-        np.array(lab_list, dtype=np.uint8),
-        np.array(ts_list, dtype=np.int64),
-        name=path.stem,
-    )
+    return Dataset(feat_list, lab_list, ts_list, name=path.stem)
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([("ts", "<i8"), ("label", "u1"), ("feat", "<f4", (dim,))])
+
+
+def _record_chunks(rec: np.dtype, n: int):
+    """(first row, records) over rows [0, n), as views of one reused buffer
+    of at most n records and ``_CHUNK_BYTES`` (yet at least one record)."""
+    step = max(1, _CHUNK_BYTES // rec.itemsize)
+    buf = np.empty(min(n, step), dtype=rec)
+    for lo in range(0, n, step):
+        yield lo, buf[: min(step, n - lo)]
 
 
 def _load_binary(path: Path) -> Dataset:
-    raw = path.read_bytes()
-    if len(raw) == 0:
-        raise DataError(f"{path}: empty dataset file")
-    if len(raw) < 17 or raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic, not a DSET file")
-    if raw[4] != _VERSION:
-        raise FormatError(f"{path}: unsupported DSET version {raw[4]}")
-    dim, count = struct.unpack_from("<IQ", raw, 5)
-    rec = np.dtype([("ts", "<i8"), ("label", "u1"), ("feat", "<f4", (dim,))])
-    expected = 17 + count * rec.itemsize
-    if len(raw) != expected:
-        raise FormatError(f"{path}: truncated file, expected {expected} bytes, got {len(raw)}")
-    if count == 0:
-        raise DataError(f"{path}: empty dataset file")
-    body = np.frombuffer(raw, dtype=rec, count=count, offset=17)
-    return Dataset(
-        body["feat"].astype(np.float64),
-        body["label"].copy(),
-        body["ts"].copy(),
-        name=path.stem,
-    )
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0:
+            raise DataError(f"{path}: empty dataset file")
+        head = fh.read(17)
+        if len(head) < 17 or head[:4] != _MAGIC:
+            raise FormatError(f"{path}: bad magic, not a DSET file")
+        if head[4] != _VERSION:
+            raise FormatError(f"{path}: unsupported DSET version {head[4]}")
+        dim, count = struct.unpack_from("<IQ", head, 5)
+        # numpy needs the record size to fit a C int
+        if not 0 < dim <= (2**31 - 1 - 9) // 4:
+            raise FormatError(f"{path}: feature_dim {dim} out of range")
+        rec = _record_dtype(dim)
+        expected = 17 + count * rec.itemsize
+        if size != expected:
+            raise FormatError(f"{path}: truncated file, expected {expected} bytes, got {size}")
+        if count == 0:
+            raise DataError(f"{path}: empty dataset file")
+        out = np.empty((count, dim)), np.empty(count, np.uint8), np.empty(count, np.int64)
+        for lo, chunk in _record_chunks(rec, count):
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise FormatError(f"{path}: truncated file, it shrank while being read")
+            for column, name in zip(out, ("feat", "label", "ts")):
+                column[lo : lo + len(chunk)] = chunk[name]
+    return Dataset(*out, name=path.stem)
 
 
 _FORMATS = {"csv": _load_csv, "jsonl": _load_jsonl, "binary": _load_binary}
@@ -317,17 +327,15 @@ def save_dataset(ds: Dataset, path, format: str | None = None) -> None:
                     + "\n"
                 )
     else:
-        rec = np.dtype([("ts", "<i8"), ("label", "u1"), ("feat", "<f4", (ds.feature_dim,))])
-        body = np.empty(len(ds), dtype=rec)
-        body["ts"] = ds.timestamps
-        body["label"] = ds.labels
-        # the same float64 -> float32 rounding as astype, without the copy
-        body["feat"] = ds.features
+        rec = _record_dtype(ds.feature_dim)
         with atomic_open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(bytes([_VERSION]))
-            fh.write(struct.pack("<IQ", ds.feature_dim, len(ds)))
-            fh.write(body)
+            fh.write(_MAGIC + bytes([_VERSION]) + struct.pack("<IQ", ds.feature_dim, len(ds)))
+            # feat takes the same float64 -> float32 rounding as astype
+            columns = {"feat": ds.features, "label": ds.labels, "ts": ds.timestamps}
+            for lo, chunk in _record_chunks(rec, len(ds)):
+                for name, column in columns.items():
+                    chunk[name] = column[lo : lo + len(chunk)]
+                fh.write(chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import struct
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -48,30 +48,27 @@ class ModelConfig:
     head_widths: tuple = (128,)
 
     def __post_init__(self):
+        for name in ("input_dim", "trunk_width", "n_residual_blocks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.trunk_width < 1:
             raise ConfigError(f"trunk_width must be >= 1, got {self.trunk_width}")
         if self.n_residual_blocks < 0:
             raise ConfigError("n_residual_blocks must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 <= rate < 1.0:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {rate!r}")
+        object.__setattr__(self, "dropout_rate", float(rate))
         widths = tuple(self.head_widths)
         if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in widths):
             raise ConfigError(f"head widths must be integers, got {list(widths)!r}")
         if any(w < 1 for w in widths):
             raise ConfigError("head widths must be >= 1")
         object.__setattr__(self, "head_widths", tuple(int(w) for w in widths))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            trunk_width=int(d["trunk_width"]),
-            n_residual_blocks=int(d["n_residual_blocks"]),
-            dropout_rate=float(d["dropout_rate"]),
-            head_widths=tuple(d["head_widths"]),
-        )
 
 
 def layer_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
@@ -466,7 +463,7 @@ def save_model(
 def _parse_header(header) -> tuple:
     """(config, mask or None, meta) from a DNET header; raises KeyError,
     TypeError, ValueError or a DriftkitError if it is malformed."""
-    cfg = ModelConfig.from_dict(header["config"])
+    cfg = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
     if header["layers"] != [name for name, _ in layer_shapes(cfg)]:
         raise ValueError("layer list does not match config topology")
     if header.get("optimizer") is not None:
@@ -477,31 +474,39 @@ def _parse_header(header) -> tuple:
 
 def load_model(path) -> LoadedModel:
     """Read and validate a DNET checkpoint. Anything malformed, including
-    non-finite stored values, raises FormatError naming ``path``."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 9 or raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic, not a DNET model file")
-    if raw[4] != _VERSION:
-        raise FormatError(f"{path}: unsupported DNET version {raw[4]}")
-    (hlen,) = struct.unpack_from("<I", raw, 5)
-    try:
-        header = json.loads(raw[9 : 9 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: corrupt header: {e}") from None
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    try:
-        cfg, mask, meta = _parse_header(header)
-    except KeyError as e:
-        raise FormatError(f"{path}: header is missing key {e}") from None
-    except (TypeError, ValueError, DriftkitError) as e:
-        raise FormatError(f"{path}: malformed header: {e}") from None
+    non-finite stored values, raises FormatError naming ``path``. The
+    tensors are read straight into the parameter vector."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(9)
+        if len(prefix) < 9 or prefix[:4] != _MAGIC:
+            raise FormatError(f"{path}: bad magic, not a DNET model file")
+        if prefix[4] != _VERSION:
+            raise FormatError(f"{path}: unsupported DNET version {prefix[4]}")
+        (hlen,) = struct.unpack_from("<I", prefix, 5)
+        if 9 + hlen > size:
+            raise FormatError(f"{path}: corrupt header: {hlen} bytes long in a {size}-byte file")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: corrupt header: {e}") from None
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header is not a JSON object")
+        try:
+            cfg, mask, meta = _parse_header(header)
+        except KeyError as e:
+            raise FormatError(f"{path}: header is missing key {e}") from None
+        except (TypeError, ValueError, DriftkitError) as e:
+            raise FormatError(f"{path}: malformed header: {e}") from None
 
-    offset = 9 + hlen
-    expected = offset + 8 * param_count(cfg)
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    stored = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64)
-    if not np.isfinite(stored).all():
+        expected = 9 + hlen + 8 * param_count(cfg)
+        if size != expected:
+            raise FormatError(f"{path}: expected {expected} bytes, got {size}")
+        stored = np.empty(param_count(cfg), dtype="<f8")
+        if fh.readinto(stored) != stored.nbytes:
+            raise FormatError(f"{path}: expected {expected} bytes, the file shrank while being read")
+    # min and max propagate NaN and reach any infinity: no boolean temporary
+    if not (np.isfinite(stored.min()) and np.isfinite(stored.max())):
         raise FormatError(f"{path}: stored tensors hold NaN or infinite values")
-    return LoadedModel(ModelParams(cfg, stored), mask, meta)
+    # a no-op on little-endian machines, where "<f8" is the native float64
+    return LoadedModel(ModelParams(cfg, stored.astype(np.float64, copy=False)), mask, meta)

@@ -248,6 +248,21 @@ def test_malformed_dataset(workdir, tmp_path):
     assert main(["train", "--config", str(p)]) == 3
 
 
+@pytest.mark.parametrize("dim", [0, 2**31, 2**32 - 1, (2**31 - 1 - 9) // 4 + 1])
+def test_dataset_header_with_impossible_feature_dim(workdir, tmp_path, capsys, dim):
+    """A feature_dim numpy cannot build a record for, or 0, is a format
+    error naming the file, not a traceback."""
+    bad = tmp_path / "huge.dset"
+    bad.write_bytes(b"DSET\x01" + struct.pack("<IQ", dim, 0))
+    cfg = dict(workdir["cfg"], out_dir=str(tmp_path / "o"))
+    cfg["data"] = {"train": str(bad), "eval": None, "pfi": None, "mask": None}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"feature_dim {dim} out of range" in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_divergence_exit_code(workdir, tmp_path, capsys):
     cfg = json.loads(json.dumps(workdir["cfg"]))
@@ -316,9 +331,18 @@ def _poke_tensor(index, value):
     (_poke_tensor(-1, float("inf")), "NaN or infinite"),
     (_poke_tensor(7, float("-inf")), "NaN or infinite"),
     (_with_header(lambda h: {**h, "optimizer": {"lr": 1e-3, "t": 1}}), "optimizer state"),
+    (_with_header(lambda h: {**h, "config": {**h["config"], "trunk_width": 16.0}}),
+     "trunk_width must be an integer"),
+    (_with_header(lambda h: {**h, "config": {**h["config"], "n_residual_blocks": True}}),
+     "n_residual_blocks must be an integer"),
+    (_with_header(lambda h: {**h, "config": {**h["config"], "dropout_rate": "0.1"}}),
+     "dropout_rate"),
+    (lambda raw: raw[:5] + struct.pack("<I", 2**32 - 1) + raw[9:], "corrupt header"),
+    (lambda raw: raw[:5] + struct.pack("<I", len(raw) - 8) + raw[9:], "corrupt header"),
 ], ids=["header-list", "missing-config-key", "missing-config", "mask-list",
         "bad-config-value", "nan-first-weight", "inf-last-bias", "neg-inf-weight",
-        "optimizer-state"])
+        "optimizer-state", "float-trunk-width", "bool-blocks", "string-dropout",
+        "huge-header-length", "header-one-past-end"])
 def test_eval_rejects_malformed_checkpoint(workdir, tmp_path, capsys, corrupt, message):
     out = tmp_path / "o"
     out.mkdir()

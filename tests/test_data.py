@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import types
 from datetime import datetime, timezone
 
 import numpy as np
@@ -151,6 +154,18 @@ def test_binary_bad_magic_and_truncation(tmp_path):
     badver.write_bytes(raw[:4] + bytes([9]) + raw[5:])
     with pytest.raises(FormatError, match="version"):
         load_dataset(badver)
+
+
+def test_binary_load_reports_a_file_that_shrinks_while_read(tmp_path, monkeypatch):
+    """A file whose size check passed but whose records then come up
+    short (it shrank between the check and the read) is a FormatError."""
+    path = tmp_path / "s.dset"
+    save_dataset(make_dataset(n=40, dim=3), path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-1])
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated file"):
+        load_dataset(path)
 
 
 def test_binary_layout_exact(tmp_path):

@@ -2,14 +2,15 @@
 array buffers to. Each measured call runs once untraced first, so
 one-time allocations (lazy imports, caches) are not counted."""
 
+import struct
 import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from driftkit.data import Dataset, bucket_by_month, load_dataset, save_dataset
-from driftkit.model import ModelConfig, forward, init_model
+from driftkit.data import _CHUNK_BYTES, Dataset, bucket_by_month, load_dataset, save_dataset
+from driftkit.model import ModelConfig, forward, init_model, load_model, save_model
 from driftkit.synthdrift import (
     DRIFT_SHAPES,
     DriftSpec,
@@ -100,6 +101,80 @@ def test_binary_save_allocates_the_records_once(tmp_path):
     assert peak <= record_bytes + 32 * 1024
     back = load_dataset(path)
     assert np.array_equal(back.features, ds.features.astype(np.float32))
+
+
+def _save_whole(ds, path):
+    """The binary writer the chunked one replaced: every record at once."""
+    rec = np.dtype([("ts", "<i8"), ("label", "u1"), ("feat", "<f4", (ds.feature_dim,))])
+    body = np.empty(len(ds), dtype=rec)
+    body["ts"] = ds.timestamps
+    body["label"] = ds.labels
+    body["feat"] = ds.features
+    path.write_bytes(b"DSET\x01" + struct.pack("<IQ", ds.feature_dim, len(ds)) + body.tobytes())
+
+
+def _load_whole(path):
+    """The binary reader the chunked one replaced: the whole file as bytes."""
+    raw = path.read_bytes()
+    dim, count = struct.unpack_from("<IQ", raw, 5)
+    rec = np.dtype([("ts", "<i8"), ("label", "u1"), ("feat", "<f4", (dim,))])
+    body = np.frombuffer(raw, dtype=rec, count=count, offset=17)
+    return body["feat"].astype(np.float64), body["label"].copy(), body["ts"].copy()
+
+
+_DIM = 30
+_CHUNK_ROWS = _CHUNK_BYTES // (8 + 1 + 4 * _DIM)
+# feature_dim whose single record is bigger than a chunk
+_WIDE_DIM = _CHUNK_BYTES // 4 + 1
+
+
+def _random_dataset(n, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return Dataset(
+        rng.standard_normal((n, dim)) * 1e3,
+        rng.integers(0, 2, n),
+        np.sort(rng.integers(-(2**40), 2**40, n)),
+        name="rand",
+    )
+
+
+@pytest.mark.parametrize("n, dim", [
+    (1, _DIM), (_CHUNK_ROWS - 1, _DIM), (_CHUNK_ROWS, _DIM), (_CHUNK_ROWS + 1, _DIM),
+    (3 * _CHUNK_ROWS + 5, _DIM), (3, _WIDE_DIM),
+], ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+5", "record-over-chunk"])
+def test_chunked_binary_io_equals_whole_file_io(tmp_path, n, dim):
+    ds = _random_dataset(n, dim)
+    chunked, whole = tmp_path / "chunked.dset", tmp_path / "whole.dset"
+    save_dataset(ds, chunked)
+    _save_whole(ds, whole)
+    assert chunked.read_bytes() == whole.read_bytes()
+    back = load_dataset(chunked)
+    for got, want in zip((back.features, back.labels, back.timestamps), _load_whole(whole)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_binary_save_holds_one_chunk(tmp_path):
+    ds = _random_dataset(3 * _CHUNK_ROWS + 5, _DIM)
+    assert len(ds) * (9 + 4 * _DIM) >= 3 * _CHUNK_BYTES
+    _, _, peak = _traced(lambda: save_dataset(ds, tmp_path / "s.dset"))
+    assert peak <= _CHUNK_BYTES + 64 * 1024
+
+
+def test_binary_load_holds_its_arrays_and_one_chunk(tmp_path):
+    path = tmp_path / "s.dset"
+    save_dataset(_random_dataset(3 * _CHUNK_ROWS + 5, _DIM), path)
+    back, _, peak = _traced(lambda: load_dataset(path))
+    arrays = back.features.nbytes + back.labels.nbytes + back.timestamps.nbytes
+    assert peak <= arrays + _CHUNK_BYTES + 64 * 1024
+
+
+def test_load_model_holds_only_the_parameters(tmp_path):
+    cfg = ModelConfig(input_dim=40, trunk_width=128, n_residual_blocks=2, head_widths=(32,))
+    path = tmp_path / "m.dnet"
+    save_model(init_model(cfg, seed=0), path)
+    loaded, _, peak = _traced(lambda: load_model(path))
+    assert loaded.params.flat.nbytes > 512 * 1024
+    assert peak <= loaded.params.flat.nbytes + 64 * 1024
 
 
 def test_buckets_of_a_time_ordered_stream_are_views():

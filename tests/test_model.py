@@ -1,5 +1,8 @@
 import json
+import os
+import re
 import struct
+import types
 from dataclasses import asdict
 
 import numpy as np
@@ -80,10 +83,35 @@ def test_model_config_validation():
         ModelConfig(input_dim=3, head_widths=(True,))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("input_dim", 3.0), ("input_dim", True), ("input_dim", "3"),
+    ("trunk_width", 8.7), ("trunk_width", False),
+    ("n_residual_blocks", True), ("n_residual_blocks", 1.0), ("n_residual_blocks", None),
+])
+def test_model_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        ModelConfig(**{"input_dim": 3, field: value})
+
+
+@pytest.mark.parametrize("value", [True, "0.2", None, [0.2]])
+def test_model_config_rejects_non_numeric_dropout(value):
+    with pytest.raises(ConfigError, match="dropout_rate"):
+        ModelConfig(input_dim=3, dropout_rate=value)
+
+
+def test_model_config_stores_python_ints_and_a_float_dropout():
+    cfg = ModelConfig(input_dim=np.int64(4), trunk_width=np.int32(6), n_residual_blocks=np.uint8(1),
+                      dropout_rate=0, head_widths=(np.int64(3),))
+    assert asdict(cfg) == {"input_dim": 4, "trunk_width": 6, "n_residual_blocks": 1,
+                           "dropout_rate": 0.0, "head_widths": (3,)}
+    assert [type(v) for v in asdict(cfg).values()] == [int, int, int, float, tuple]
+    assert type(cfg.head_widths[0]) is int
+
+
 def test_model_config_round_trip():
     cfg = ModelConfig(input_dim=9, trunk_width=12, n_residual_blocks=3,
                       dropout_rate=0.25, head_widths=(8, 4))
-    assert ModelConfig.from_dict(asdict(cfg)) == cfg
+    assert ModelConfig(**asdict(cfg)) == cfg
 
 
 def test_init_he_uniform_bounds_and_zero_biases():
@@ -481,6 +509,18 @@ def test_load_rejects_corrupt_files(tmp_path):
     badver.write_bytes(raw[:4] + bytes([7]) + raw[5:])
     with pytest.raises(FormatError, match="version"):
         load_model(badver)
+
+
+def test_load_reports_a_checkpoint_that_shrinks_while_read(tmp_path, monkeypatch):
+    """A file whose size check passed but whose tensors then come up short
+    (it shrank between the size check and the read) is a FormatError."""
+    path = tmp_path / "model.dnet"
+    save_model(tiny_model(), path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: expected {full} bytes, the file shrank"):
+        load_model(path)
 
 
 def test_load_rejects_tampered_layer_list(tmp_path):
