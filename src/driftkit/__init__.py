@@ -3,8 +3,8 @@ timestamped streams whose input distribution drifts.
 
 The pieces, bottom up:
 
-  numerics    seeded RNG, stable sigmoid, matmul and dropout primitives
-  kernels     elementwise hot loops: sigmoid, loss, AdamW
+  kernels     the numeric core: seeded RNG, matmul, dropout masks and
+              the hot elementwise loops (sigmoid, loss, AdamW)
   data        datasets, loaders (csv / jsonl / binary), splits, buckets
   losses      weighted cross-entropy with miss/false-alarm penalties and
               a logit-magnitude penalty
@@ -45,6 +45,7 @@ from .evaluation import (
     detect_drift,
     evaluate_buckets,
 )
+from .kernels import make_rng, sigmoid
 from .losses import LossConfig, class_weights, loss_grad, loss_value
 from .model import (
     ModelConfig,
@@ -55,7 +56,6 @@ from .model import (
     predict_proba,
     save_model,
 )
-from .numerics import make_rng, sigmoid
 from .pfi import PfiConfig, PfiReport, run_pfi
 from .synthdrift import DriftSpec, generate_stream
 from .training import TrainConfig, TrainHistory, train

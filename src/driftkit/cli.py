@@ -99,12 +99,13 @@ def _load_run_model(cfg: RunConfig) -> LoadedModel:
     return load_model(_require_file(Path(cfg.out_dir) / "model.dnet", "model file"))
 
 
-def _apply_model_mask(model: LoadedModel, ds, role: str):
+def _load_masked_input(cfg: RunConfig, model: LoadedModel, role: str):
+    ds = _load_input(cfg, role)
     if model.mask is not None:
         ds = apply_mask(ds, model.mask)
     if ds.feature_dim != model.params.cfg.input_dim:
         raise ConfigError(
-            f"data.{role} has {ds.feature_dim} features after masking, "
+            f"data.{role} {cfg.data_path(role)} has {ds.feature_dim} features after masking, "
             f"model expects {model.params.cfg.input_dim}"
         )
     return ds
@@ -175,7 +176,7 @@ def cmd_train(args) -> int:
 def cmd_pfi(args) -> int:
     cfg = _load_run_config(args)
     model = _load_run_model(cfg)
-    ds = _apply_model_mask(model, _load_input(cfg, "pfi"), "pfi")
+    ds = _load_masked_input(cfg, model, "pfi")
     out = _out_dir(cfg)
     try:
         mask, report = run_pfi(model.params, ds.features, ds.labels, cfg.pfi_config())
@@ -195,7 +196,7 @@ def cmd_pfi(args) -> int:
 
 def _run_eval(cfg: RunConfig) -> tuple:
     model = _load_run_model(cfg)
-    ds = _apply_model_mask(model, _load_input(cfg, "eval"), "eval")
+    ds = _load_masked_input(cfg, model, "eval")
     settings = cfg.eval_settings()
     report = evaluate_buckets(model.params, bucket_by_month(ds), threshold=settings.threshold)
     verdict = detect_drift(

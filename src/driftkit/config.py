@@ -33,7 +33,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from .data import read_json
-from .errors import ConfigError
+from .errors import ConfigError, require_ints
 from .losses import LossConfig
 from .model import ModelConfig
 from .pfi import PfiConfig
@@ -50,6 +50,7 @@ class EvalSettings:
     error_metric: str = "err"
 
     def __post_init__(self):
+        require_ints(self, "persistence")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("eval.threshold must be in (0, 1)")
         if not 0.0 <= self.epsilon < math.inf:

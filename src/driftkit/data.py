@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
-from .numerics import make_rng
+from .kernels import make_rng
 
 _MAGIC = b"DSET"
 _VERSION = 1
@@ -55,15 +55,34 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        f = np.ascontiguousarray(self.features, dtype=np.float64)
+        try:
+            f = np.ascontiguousarray(self.features, dtype=np.float64)
+        except OverflowError:  # a Python int beyond float64
+            raise DataError("feature values must be finite") from None
         if f.ndim != 2:
             raise ShapeError("features must be a 2-D matrix")
-        lab = np.asarray(self.labels, dtype=np.uint8)
-        ts = np.asarray(self.timestamps, dtype=np.int64)
+        # uint8 labels and int64 timestamps, as every subset passes them, are
+        # taken as they are, without boolean temporaries; anything else is
+        # checked before its cast, which would wrap -1, 256 or 2**63
+        lab, ts = np.asarray(self.labels), np.asarray(self.timestamps)
+        if lab.dtype == np.uint8:
+            bad = lab.size and lab.max() > 1
+        else:
+            bad = not ((lab == 0) | (lab == 1)).all()
+        if bad:
+            raise DataError("labels must be 0 or 1")
+        lab = lab.astype(np.uint8, copy=False)
+        if ts.dtype != np.int64:
+            try:
+                with np.errstate(invalid="ignore"):
+                    cast = ts.astype(np.int64)
+            except (OverflowError, TypeError, ValueError):  # e.g. a Python int past 64 bits
+                cast = None
+            if cast is None or not (cast == ts).all():
+                raise DataError("timestamps must be integers within int64")
+            ts = cast
         if lab.shape != (f.shape[0],) or ts.shape != (f.shape[0],):
             raise ShapeError("labels/timestamps length must match sample count")
-        if lab.size and lab.max() > 1:  # uint8: no boolean temporaries
-            raise DataError("labels must be 0 or 1")
         # min and max propagate NaN and reach any infinity, so this checks
         # every value without an (n, d) boolean temporary
         if f.size and not (np.isfinite(f.min()) and np.isfinite(f.max())):
@@ -172,6 +191,14 @@ def read_json(path, error: type) -> dict:
     return doc
 
 
+def _read_dataset(path: Path, features, labels, timestamps) -> Dataset:
+    """The Dataset named after ``path``; a bad value raises DataError naming it."""
+    try:
+        return Dataset(features, labels, timestamps, name=path.stem)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _load_csv(path: Path) -> Dataset:
     stamps, labels, feats = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -198,7 +225,7 @@ def _load_csv(path: Path) -> Dataset:
                 raise ParseError(f"{path}: {e}", row=lineno) from None
     if not feats:
         raise DataError(f"{path}: empty dataset file")
-    return Dataset(feats, labels, stamps, name=path.stem)
+    return _read_dataset(path, feats, labels, stamps)
 
 
 def _load_jsonl(path: Path) -> Dataset:
@@ -214,7 +241,7 @@ def _load_jsonl(path: Path) -> Dataset:
                 ts_list.append(int(obj["ts"]))
                 lab_list.append(int(obj["label"]))
                 feats = obj["features"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ParseError(f"{path}: {e}", row=lineno) from None
             if not isinstance(feats, list) or not all(
                 isinstance(v, (int, float)) for v in feats
@@ -229,7 +256,7 @@ def _load_jsonl(path: Path) -> Dataset:
             feat_list.append(feats)
     if not feat_list:
         raise DataError(f"{path}: empty dataset file")
-    return Dataset(feat_list, lab_list, ts_list, name=path.stem)
+    return _read_dataset(path, feat_list, lab_list, ts_list)
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -271,7 +298,7 @@ def _load_binary(path: Path) -> Dataset:
                 raise FormatError(f"{path}: truncated file, it shrank while being read")
             for column, name in zip(out, ("feat", "label", "ts")):
                 column[lo : lo + len(chunk)] = chunk[name]
-    return Dataset(*out, name=path.stem)
+    return _read_dataset(path, *out)
 
 
 _FORMATS = {"csv": _load_csv, "jsonl": _load_jsonl, "binary": _load_binary}

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all driftkit modules.
+"""Exception hierarchy shared by all driftkit modules, and the integer
+check every config dataclass makes.
 
 Each class maps to one failure category so the CLI can translate them
 into distinct exit codes.
 """
+
+import numbers
 
 
 class DriftkitError(Exception):
@@ -49,3 +52,12 @@ class EmptyMaskError(DataError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+def require_ints(obj, *names: str) -> None:
+    """Store the named fields of dataclass ``obj`` as ints; ConfigError if not integral."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))

@@ -1,10 +1,14 @@
-"""Hot elementwise numeric kernels, in numpy.
+"""The numeric core, in numpy: seeded RNG, matrix product, dropout masks
+and the hot elementwise kernels (sigmoid, loss, AdamW).
 
-All kernels take float64 arrays. Labels are passed as float64 0.0/1.0.
-Matrix products are deliberately absent: those stay on numpy's BLAS.
+Compute is float64 end to end (gradient-check tolerances depend on it);
+loss kernels take labels as float64 0.0/1.0. Products stay on numpy's
+BLAS; randomness flows through explicit PCG64 generators (``make_rng``).
 """
 
 import numpy as np
+
+from .errors import ConfigError, ShapeError
 
 
 def backend() -> str:
@@ -12,34 +16,68 @@ def backend() -> str:
     return "numpy"
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def make_rng(seed: int) -> np.random.Generator:
+    """Seeded PCG64 generator. Same seed, same sequence, everywhere."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Standard matrix product with explicit inner-dimension checking."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError("matmul expects 2-D operands")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(
+            f"inner dimensions disagree: {a.shape[0]}x{a.shape[1]} @ "
+            f"{b.shape[0]}x{b.shape[1]}"
+        )
+    return a @ b
+
+
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
+
+    Scaling happens at mask time, so the eval-mode forward pass needs no
+    compensation. rate=0 returns an all-ones mask without consuming rng state.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
+        return np.ones(shape, dtype=np.float64)
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)
+    # the buffer holds 0.0 and 1.0, so multiplying by the rounded
+    # 1/(1-rate) gives the bits of dividing each entry by 1-rate
+    mask *= 1.0 / (1.0 - rate)
+    return mask
+
+
+def sigmoid(z):
     """Stable logistic function, exact for any finite input magnitude.
 
+    Takes scalars or arrays of any shape and dtype, as their float64
+    values; a scalar or 0-d input gives a float, an array one of its shape.
     One exp serves both signs: with e = exp(-|z|), sigmoid(z) is 1/(1+e)
     for z >= 0 and e/(1+e) below. These are the very operations of the
     textbook branches 1/(1+exp(-z)) and exp(z)/(1+exp(z)), on the same
     operands (-|z| is exactly -z or z), so the bits equal a per-sign
     evaluation; only the selection is done with ``np.where``.
     """
+    z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
     return np.divide(np.where(z >= 0.0, 1.0, e), 1.0 + e)
-
-
-def _softplus(z: np.ndarray) -> np.ndarray:
-    # log(1 + e^z) without overflow; equals z for large z, 0 for very negative z
-    return np.logaddexp(0.0, z)
 
 
 def loss_forward(z, y, a1, a0, lam) -> float:
     """Mean weighted logistic loss plus mean (lam/2)*z^2 logit penalty.
 
     a1 scales the positive-label term, a0 the negative-label term. The
-    log-sigmoid terms are computed in logit space (softplus), so with
+    log-sigmoid terms are computed in logit space as softplus,
+    log(1 + e^z) = logaddexp(0, z), which cannot overflow; so with
     lam = 0 the value stays finite for |z| up to ~1e300. With lam > 0 the
     penalty overflows to inf once |z| passes ~1.9e154 / sqrt(lam), which
     training reports as a NumericError.
     """
-    core = a1 * y * _softplus(-z) + a0 * (1.0 - y) * _softplus(z)
+    core = a1 * y * np.logaddexp(0.0, -z) + a0 * (1.0 - y) * np.logaddexp(0.0, z)
     # np.mean's reduction and division, without its Python-level wrapper
     return float(np.add.reduce(core + 0.5 * lam * z * z) / z.size)
 

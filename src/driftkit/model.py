@@ -32,8 +32,8 @@ import numpy as np
 
 from . import kernels
 from .data import FeatureMask, atomic_open
-from .errors import ConfigError, DriftkitError, FormatError, ShapeError, StateError
-from .numerics import dropout_mask, make_rng, matmul, sigmoid
+from .errors import ConfigError, DriftkitError, FormatError, ShapeError, StateError, require_ints
+from .kernels import dropout_mask, make_rng, matmul
 
 _MAGIC = b"DNET"
 _VERSION = 1
@@ -48,11 +48,7 @@ class ModelConfig:
     head_widths: tuple = (128,)
 
     def __post_init__(self):
-        for name in ("input_dim", "trunk_width", "n_residual_blocks"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        require_ints(self, "input_dim", "trunk_width", "n_residual_blocks")
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.trunk_width < 1:
@@ -175,6 +171,50 @@ def _dense_relu(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0, out=a)
 
 
+def _rows(cfg: ModelConfig, X) -> np.ndarray:
+    """``X`` as a contiguous float64 (batch, input_dim) matrix."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != cfg.input_dim:
+        raise ShapeError(f"input must be (batch, {cfg.input_dim}), got {X.shape}")
+    return X
+
+
+def _hidden(params: ModelParams, X: np.ndarray, masks, cache: dict | None) -> np.ndarray:
+    """The last hidden layer's output for rows ``X``: entry, residual
+    blocks and heads, in order. ``masks`` holds one dropout mask or None
+    per trunk layer. Biases, ReLUs and masks are applied in place, to fresh
+    products; with a ``cache``, each layer's output is recorded there in
+    its final, activated state (see ``forward``)."""
+    cfg = params.cfg
+    t = params.tensors
+    h = _dense_relu(X, t["entry.W"], t["entry.b"])
+    m0 = masks[0]
+    if m0 is not None:
+        h *= m0
+    if cache is not None:
+        cache["entry"] = (h, m0)
+
+    for k in range(cfg.n_residual_blocks):
+        h_in = h
+        u = _dense_relu(h_in, t[f"block{k}.W1"], t[f"block{k}.b1"])
+        h = matmul(u, t[f"block{k}.W2"])
+        h += t[f"block{k}.b2"]
+        h += h_in
+        np.maximum(h, 0.0, out=h)
+        mk = masks[k + 1]
+        if mk is not None:
+            h *= mk
+        if cache is not None:
+            cache["blocks"].append((h_in, u, h, mk))
+
+    for j in range(len(cfg.head_widths)):
+        h_in = h
+        h = _dense_relu(h_in, t[f"head{j}.W"], t[f"head{j}.b"])
+        if cache is not None:
+            cache["heads"].append((h_in, h))
+    return h
+
+
 def forward(
     params: ModelParams,
     X: np.ndarray,
@@ -192,11 +232,7 @@ def forward(
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.cfg
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != cfg.input_dim:
-        raise ShapeError(
-            f"input must be (batch, {cfg.input_dim}), got {X.shape}"
-        )
+    X = _rows(cfg, X)
     masks = [None] * (1 + cfg.n_residual_blocks)
     if mode == "train" and cfg.dropout_rate > 0.0:
         if rng is None:
@@ -206,40 +242,11 @@ def forward(
         masks = dropout_mask(
             (len(masks), X.shape[0], cfg.trunk_width), cfg.dropout_rate, rng
         )
-
-    t = params.tensors
-    cache: dict = {"params_id": id(params), "mode": mode, "X": X, "blocks": [], "heads": []}
-
-    # biases, ReLUs and dropout masks are applied in place, to fresh
-    # products that are cached only in their final, activated state
-    h = _dense_relu(X, t["entry.W"], t["entry.b"])
-    m0 = masks[0]
-    if m0 is not None:
-        h *= m0
-    cache["entry"] = (h, m0)
-
-    for k in range(cfg.n_residual_blocks):
-        h_in = h
-        u = _dense_relu(h_in, t[f"block{k}.W1"], t[f"block{k}.b1"])
-        h = matmul(u, t[f"block{k}.W2"])
-        h += t[f"block{k}.b2"]
-        h += h_in
-        np.maximum(h, 0.0, out=h)
-        mk = masks[k + 1]
-        if mk is not None:
-            h *= mk
-        cache["blocks"].append((h_in, u, h, mk))
-
-    for j in range(len(cfg.head_widths)):
-        h_in = h
-        h = _dense_relu(h_in, t[f"head{j}.W"], t[f"head{j}.b"])
-        cache["heads"].append((h_in, h))
-
-    cache["h_last"] = h
-    z = matmul(h, t["out.W"])
-    z += t["out.b"]
-    z = z.ravel()
-    return z, cache
+    cache: dict = {"params_id": id(params), "X": X, "blocks": [], "heads": []}
+    h = cache["h_last"] = _hidden(params, X, masks, cache)
+    z = matmul(h, params.tensors["out.W"])
+    z += params.tensors["out.b"]
+    return z.ravel(), cache
 
 
 def backward(
@@ -335,61 +342,53 @@ def predict_logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
     Holds no state, so threads may call it at once.
     """
     cfg = params.cfg
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != cfg.input_dim:
-        raise ShapeError(f"input must be (batch, {cfg.input_dim}), got {X.shape}")
+    X = _rows(cfg, X)
     t = params.tensors
     n = X.shape[0]
     narrowest = min(W.size for name, W in t.items() if _is_weight(name) and name != "out.W")
     rows = max(_BLOCK_ROWS, _SMALL_GEMM // narrowest + 1)
     bounds = [i * rows for i in range(max(1, n // rows))] + [n]
+    masks = [None] * (1 + cfg.n_residual_blocks)
     H = np.empty((n, t["out.W"].shape[0]))
     for lo, hi in zip(bounds, bounds[1:]):
-        h = _dense_relu(X[lo:hi], t["entry.W"], t["entry.b"])
-        for k in range(cfg.n_residual_blocks):
-            v = matmul(_dense_relu(h, t[f"block{k}.W1"], t[f"block{k}.b1"]), t[f"block{k}.W2"])
-            v += t[f"block{k}.b2"]
-            v += h
-            h = np.maximum(v, 0.0, out=v)
-        for j in range(len(cfg.head_widths)):
-            h = _dense_relu(h, t[f"head{j}.W"], t[f"head{j}.b"])
-        H[lo:hi] = h
+        H[lo:hi] = _hidden(params, X[lo:hi], masks, None)
     return (matmul(H, t["out.W"]) + t["out.b"]).ravel()
 
 
 def predict_proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    return sigmoid(predict_logits(params, X))
+    return kernels.sigmoid(predict_logits(params, X))
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
 
+# AdamW's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """AdamW hyper-parameters and moments. Weight decay skips biases.
 
     ``lr`` and ``weight_decay`` come from the run's ``TrainConfig``.
-    ``m`` and ``v`` are flat vectors in the parameters' layout. The bias
-    positions and the kernel's scratch vectors are built on the first step.
+    ``m`` and ``v`` are flat vectors in the parameters' layout, ``biases``
+    the bias positions in it and ``scratch`` the kernel's two work vectors.
     """
 
     lr: float
     weight_decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    m: np.ndarray
+    v: np.ndarray
+    biases: np.ndarray = field(repr=False, compare=False)
+    scratch: tuple = field(repr=False, compare=False)
     t: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    biases: np.ndarray | None = field(default=None, repr=False, compare=False)
-    scratch: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def init_optimizer(params: ModelParams, lr: float, weight_decay: float) -> OptimizerState:
-    return OptimizerState(
-        lr, weight_decay, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat)
-    )
+    p, size = params.flat, min(params.flat.size, kernels.ADAMW_SLICE)
+    return OptimizerState(lr, weight_decay, np.zeros_like(p), np.zeros_like(p),
+                          bias_indices(params.cfg), (np.empty(size), np.empty(size)))
 
 
 def adamw_step(params: ModelParams, grads, state: OptimizerState) -> None:
@@ -405,25 +404,11 @@ def adamw_step(params: ModelParams, grads, state: OptimizerState) -> None:
     p = params.flat
     if grads.flat.shape != p.shape or state.m.shape != p.shape or state.v.shape != p.shape:
         raise ShapeError("gradients or optimizer moments do not match the parameters")
-    if state.scratch is None:
-        state.biases = bias_indices(params.cfg)
-        size = min(p.size, kernels.ADAMW_SLICE)
-        state.scratch = (np.empty(size), np.empty(size))
     state.t += 1
     kernels.adamw_update(
-        p,
-        grads.flat,
-        state.m,
-        state.v,
-        1.0 - state.beta1**state.t,
-        1.0 - state.beta2**state.t,
-        state.lr,
-        state.beta1,
-        state.beta2,
-        state.eps,
-        state.weight_decay,
-        no_decay=state.biases,
-        scratch=state.scratch,
+        p, grads.flat, state.m, state.v, 1.0 - _BETA1**state.t, 1.0 - _BETA2**state.t,
+        state.lr, _BETA1, _BETA2, _EPS, state.weight_decay,
+        no_decay=state.biases, scratch=state.scratch,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureMask, atomic_open
-from .errors import ConfigError, DataError, EmptyMaskError, ShapeError
+from .errors import ConfigError, DataError, EmptyMaskError, ShapeError, require_ints
 from .evaluation import confusion, metrics
 from .model import ModelParams, predict_proba
 
@@ -41,6 +41,7 @@ class PfiConfig:
     threshold: float = 0.5  # probability cut for class decisions
 
     def __post_init__(self):
+        require_ints(self, "n_repeats", "seed")
         if self.metric not in PFI_METRICS:
             raise ConfigError(f"unknown importance metric {self.metric!r}")
         if self.n_repeats < 1:

@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, require_ints
 
 DRIFT_SHAPES = ("sudden", "gradual", "incremental", "recurrent")
 
@@ -61,10 +61,7 @@ class DriftSpec:
     start_month: str = "2021-01"
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        require_ints(self, *_INT_FIELDS)
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not math.isfinite(value):

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .data import Dataset, class_counts, split_random, split_recent
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require_ints
 from .evaluation import confusion, metrics
 from .losses import LossConfig, loss_grad, loss_value
 from .model import (
@@ -28,7 +29,6 @@ from .model import (
     init_optimizer,
     adamw_step,
 )
-from .numerics import sigmoid
 
 VALIDATION_STRATEGIES = ("random", "recent")
 SELECTION_METRICS = ("f1", "accuracy")
@@ -49,6 +49,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
+        require_ints(self, "n_val", "batch_size", "max_epochs", "patience", "seed")
         if self.validation not in VALIDATION_STRATEGIES:
             raise ConfigError(f"unknown validation strategy {self.validation!r}")
         if self.selection_metric not in SELECTION_METRICS:
@@ -178,7 +179,7 @@ def train(
                 f"training diverged: non-finite validation logits at epoch {epoch}"
             )
         hist.val_loss.append(loss_value(zval, yval, loss_cfg))
-        m = metrics(confusion(sigmoid(zval), yval, train_cfg.threshold))
+        m = metrics(confusion(kernels.sigmoid(zval), yval, train_cfg.threshold))
         hist.val_acc.append(m.acc)
         hist.val_f1.append(m.f1)
         hist.val_fnr.append(m.fnr)

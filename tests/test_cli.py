@@ -396,6 +396,18 @@ def _jsonl_train(bad_row):
     return setup
 
 
+def _csv_train(bad_row):
+    """data.train is a CSV file whose third row is ``bad_row``."""
+    def setup(cfg, tmp_path):
+        good = "1609459200,0," + ",".join(["0.0"] * 6)
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(["timestamp,label," + ",".join(f"f{i}" for i in range(6)),
+                                   good, good, bad_row]) + "\n")
+        cfg["data"]["train"] = str(path)
+        return path
+    return setup
+
+
 def _mask_file(doc):
     def setup(cfg, tmp_path):
         path = tmp_path / "mask.json"
@@ -424,7 +436,17 @@ def _eval_stream_with_timestamp(ts):
     ("train", _mask_file([0, 1]), "not a JSON object"),
     ("eval", _eval_stream_with_timestamp(253_402_300_800),
      "timestamp 253402300800 lies outside the years 1-9999"),
-], ids=["jsonl-scalar-features", "jsonl-string-feature", "mask-list", "eval-year-10000"])
+    ("train", _csv_train("1609459200,-1," + ",".join(["0.0"] * 6)), "labels must be 0 or 1"),
+    ("train", _csv_train("99999999999999999999,1," + ",".join(["0.0"] * 6)),
+     "timestamps must be integers within int64"),
+    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 256, "features": [0.0] * 6}),
+     "labels must be 0 or 1"),
+    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 1, "features": [0.0] * 5 + [10**400]}),
+     "feature values must be finite"),
+    ("train", _jsonl_train({"ts": float("inf"), "label": 1, "features": [0.0] * 6}), "row 3: "),
+], ids=["jsonl-scalar-features", "jsonl-string-feature", "mask-list", "eval-year-10000",
+        "csv-label-minus-1", "csv-timestamp-beyond-int64", "jsonl-label-256",
+        "jsonl-feature-beyond-float64", "jsonl-infinite-timestamp"])
 def test_malformed_input_exits_3_naming_it(workdir, tmp_path, capsys, command, setup, message):
     cfg = json.loads(json.dumps(workdir["cfg"]))
     out = tmp_path / "o"

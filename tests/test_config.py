@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from driftkit.config import EvalSettings, RunConfig
 from driftkit.data import write_json
 from driftkit.errors import ConfigError
+from driftkit.pfi import PfiConfig
+from driftkit.training import TrainConfig
 
 
 def test_defaults():
@@ -176,3 +179,21 @@ def test_eval_settings_validation():
         EvalSettings(error_metric="acc")
     e = EvalSettings(epsilon=0.0)
     assert e.epsilon == 0.0
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (TrainConfig, "batch_size", 2.5), (TrainConfig, "max_epochs", 1.5),
+    (TrainConfig, "n_val", 10.5), (TrainConfig, "patience", True), (TrainConfig, "seed", 1.5),
+    (TrainConfig, "batch_size", "16"), (PfiConfig, "n_repeats", 1.5), (PfiConfig, "seed", None),
+    (EvalSettings, "persistence", 1.5), (EvalSettings, "persistence", False),
+])
+def test_integer_fields_reject_floats_and_bools(cls, field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        cls(**{field: value})
+
+
+def test_integer_fields_are_stored_as_python_ints():
+    t = TrainConfig(batch_size=np.int64(16), n_val=np.uint16(20), seed=np.int32(3))
+    assert [type(v) for v in (t.batch_size, t.n_val, t.seed)] == [int, int, int]
+    assert type(PfiConfig(n_repeats=np.int8(2)).n_repeats) is int
+    assert type(EvalSettings(persistence=np.int64(3)).persistence) is int

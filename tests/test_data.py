@@ -43,6 +43,43 @@ def test_dataset_validation():
         Dataset(np.array([[np.nan, 0.0]]), np.array([0], dtype=np.uint8), np.array([0]))
 
 
+@pytest.mark.parametrize("labels", [
+    [256, 1], np.array([256, 1]), [-1, 0], np.array([-255, 1]), [0.5, 1], [np.nan, 0],
+    np.array([1, 2], dtype=np.uint8),
+])
+def test_dataset_rejects_labels_off_zero_one_before_the_cast(labels):
+    # a uint8 cast would wrap 256 to 0 and -255 to 1, and truncate 0.5 to 0
+    with pytest.raises(DataError, match="labels must be 0 or 1"):
+        Dataset(np.zeros((2, 1)), labels, np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("timestamps", [
+    [0, 2**63], [0, -2**63 - 1], [0, 99999999999999999999],
+    np.array([0, 2**64 - 1], dtype=np.uint64), [0.0, 1.5], [0.0, np.nan], [0.0, 2.0**63],
+])
+def test_dataset_rejects_timestamps_outside_int64(timestamps):
+    with pytest.raises(DataError, match="timestamps must be integers within int64"):
+        Dataset(np.zeros((2, 1)), [0, 1], timestamps)
+
+
+def test_dataset_casts_exact_values_and_keeps_its_own_dtypes():
+    ds = Dataset(np.zeros((3, 1)), [True, 0.0, np.int64(1)],
+                 np.array([-2**63, 0, 2**63 - 1], dtype=object))
+    assert ds.labels.dtype == np.uint8 and ds.labels.tolist() == [1, 0, 1]
+    assert ds.timestamps.dtype == np.int64 and ds.timestamps.tolist() == [-2**63, 0, 2**63 - 1]
+    ds = Dataset(np.zeros((2, 1)), [0, 1], np.array([5, 7], dtype=np.uint32))
+    assert ds.timestamps.dtype == np.int64 and ds.timestamps.tolist() == [5, 7]
+    # what every subset passes is taken as it is, without a copy
+    labels, stamps = np.array([0, 1], dtype=np.uint8), np.array([5, 7], dtype=np.int64)
+    ds = Dataset(np.zeros((2, 1)), labels, stamps)
+    assert ds.labels is labels and ds.timestamps is stamps
+
+
+def test_dataset_rejects_integer_features_beyond_float64():
+    with pytest.raises(DataError, match="feature values must be finite"):
+        Dataset([[10**400]], [0], [0])
+
+
 def test_dataset_accessors(toy_dataset):
     ds = toy_dataset
     assert len(ds) == 40

@@ -1,10 +1,18 @@
-"""Seeded mutation fuzz of the binary readers (``.dset`` and ``model.dnet``).
+"""Seeded mutation fuzz of the dataset and checkpoint readers.
 
-Each case starts from a valid file, mutates it (truncation at every chunk
-or section boundary +-1, header byte flips, extreme header fields) and runs
-``driftkit eval`` in process on it. Every case must exit 0, or exit 3 with
-a message naming the mutated file; any other exception is a reader bug.
-The ``.dset`` chunk is shrunk so a small file spans several chunks.
+Binary readers (``.dset`` and ``model.dnet``): each case starts from a
+valid file, mutates it (truncation at every chunk or section boundary +-1,
+header byte flips, extreme header fields) and runs ``driftkit eval`` in
+process on it. Every case must exit 0, or exit 3 with a message naming the
+mutated file; any other exception is a reader bug. The ``.dset`` chunk is
+shrunk so a small file spans several chunks.
+
+Text readers (``.csv`` and ``.jsonl``): the same harness, with text
+mutations drawn from PCG64 (truncation, byte flips, swapped JSON types,
+NaN, huge and negative integers, wrong nesting). A row-width or header
+fault is a ShapeError (exit 2); so every case exits 0, 2 or 3, and a
+failing one names the file: by its path, or, for a timestamp past the
+year 9999, by the dataset name the loader takes from it (its stem).
 """
 
 import json
@@ -41,8 +49,10 @@ def run(tmp_path, monkeypatch):
     return {"stream": stream, "model": out / "model.dnet", "config": config, "cfg": cfg}
 
 
-def _check(run, target, cases, capsys):
-    """Write each (name, bytes) case over ``target`` and run eval on it."""
+def _check(run, target, cases, capsys, codes=(0, 3), named=None):
+    """Write each (name, bytes) case over ``target`` and run eval on it; a
+    failing case's message must hold ``named``, by default the path."""
+    named = str(target) if named is None else named
     for name, raw in cases:
         target.write_bytes(raw)
         try:
@@ -50,9 +60,9 @@ def _check(run, target, cases, capsys):
         except Exception as exc:  # a traceback at the command line
             pytest.fail(f"{target.name} case {name}: {type(exc).__name__}: {exc}")
         err = capsys.readouterr().err
-        assert code in (0, 3), f"{target.name} case {name}: exit {code}: {err}"
-        if code == 3:
-            assert str(target) in err, f"{target.name} case {name}: {err}"
+        assert code in codes, f"{target.name} case {name}: exit {code}: {err}"
+        if code != 0:
+            assert named in err, f"{target.name} case {name}: {err}"
 
 
 def _truncations(raw, boundaries):
@@ -101,3 +111,85 @@ def test_dnet_reader_mutations(run, capsys):
         cases.append((f"hlen={h}", raw[:5] + struct.pack("<I", h) + raw[9:]))
     cases.append(("valid", raw))
     _check(run, run["model"], cases, capsys)
+
+
+# values a mutation swaps in for a text field: NaN, infinities, huge and
+# negative integers, labels off {0, 1}, non-numbers
+_TEXT_VALUES = ["nan", "NaN", "inf", "-inf", "1e999", "", "x", "0.5", "-1", "2", "256",
+                "-255", "9223372036854775807", "9223372036854775808",
+                "-9223372036854775809", "99999999999999999999", "1" * 400]
+# values a mutation swaps in for a JSON field, by type: each is a JSON
+# literal json.loads accepts
+_JSON_VALUES = ["null", "true", "false", '"1"', '""', "[]", "{}", "[[0.5]]", '{"ts": 1}',
+                "0.5", "NaN", "Infinity", "-Infinity", "-1", "2", "256", "1e999",
+                "9223372036854775808", "-9223372036854775809", "1" + "0" * 400]
+
+
+def _text_stream(run, tmp_path, suffix):
+    """Every tenth row of the fuzz stream as ``suffix`` text; eval reads it."""
+    target = tmp_path / f"fuzzed{suffix}"
+    save_dataset(data.load_dataset(run["stream"]).subset(slice(None, None, 10)), target)
+    cfg = json.loads(run["config"].read_text())
+    cfg["data"]["eval"] = str(target)
+    run["config"].write_text(json.dumps(cfg))
+    return target
+
+
+def _byte_cases(raw, rng, n):
+    cases = [(f"cut@{c}", raw[:c]) for c in rng.integers(0, len(raw), size=n)]
+    return cases + _flips(raw, len(raw), rng, n)
+
+
+def test_csv_reader_mutations(run, tmp_path, capsys):
+    target = _text_stream(run, tmp_path, ".csv")
+    raw = target.read_bytes()
+    rows = [line.split(",") for line in raw.decode().splitlines()]
+    rng = np.random.Generator(np.random.PCG64(1703))
+    cases = _byte_cases(raw, rng, 25)
+    for value in _TEXT_VALUES:
+        # a data row's timestamp and label, and any cell, the header's too
+        r = int(rng.integers(1, len(rows)))
+        anywhere = (int(rng.integers(0, len(rows))), int(rng.integers(0, len(rows[0]))))
+        for row, col in ((r, 0), (r, 1), anywhere):
+            mutated = [list(line) for line in rows]
+            mutated[row][col] = value
+            text = "\n".join(",".join(line) for line in mutated) + "\n"
+            cases.append((f"row{row}col{col}={value[:24]}", text.encode()))
+    for name, text in [("no-header", "\n".join(",".join(row) for row in rows[1:])),
+                       ("short-row", "\n".join(",".join(row) for row in rows) + "\n1,0\n"),
+                       ("quote", raw.decode().replace(",", ',"', 1)),
+                       ("nul", raw.decode().replace(",", "\0", 3))]:
+        cases.append((name, text.encode()))
+    cases.append(("valid", raw))
+    _check(run, target, cases, capsys, codes=(0, 2, 3), named=target.stem)
+
+
+def _swap(lines, i, line):
+    """The lines with line ``i`` replaced, as file bytes."""
+    return ("\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n").encode()
+
+
+def test_jsonl_reader_mutations(run, tmp_path, capsys):
+    target = _text_stream(run, tmp_path, ".jsonl")
+    raw = target.read_bytes()
+    lines = raw.decode().splitlines()
+    rng = np.random.Generator(np.random.PCG64(1704))
+    cases = _byte_cases(raw, rng, 25)
+    for value in _JSON_VALUES:
+        i = int(rng.integers(0, len(lines)))
+        obj = json.loads(lines[i])
+        for key in ("ts", "label", "features"):
+            line = json.dumps({**obj, key: "@"}).replace('"@"', value)
+            cases.append((f"line{i}.{key}={value[:24]}", _swap(lines, i, line)))
+        # one feature replaced: swapped type, NaN, huge number, nesting
+        k = int(rng.integers(0, len(obj["features"])))
+        feats = json.dumps(obj["features"][:k] + ["@"] + obj["features"][k + 1:])
+        line = json.dumps({**obj, "features": "#"}).replace('"#"', feats.replace('"@"', value))
+        cases.append((f"line{i}.features[{k}]={value[:24]}", _swap(lines, i, line)))
+    i = int(rng.integers(0, len(lines)))
+    for name, line in [("list", f"[{lines[i]}]"), ("nested", f'{{"row": {lines[i]}}}'),
+                       ("missing-key", json.dumps({"ts": 1, "label": 0})),
+                       ("scalar", "7"), ("string", '"row"'), ("open", lines[i][:-1])]:
+        cases.append((name, _swap(lines, i, line)))
+    cases.append(("valid", raw))
+    _check(run, target, cases, capsys, codes=(0, 2, 3), named=target.stem)

@@ -26,7 +26,7 @@ from driftkit.model import (
     save_model,
     tensor_views,
 )
-from driftkit.numerics import dropout_mask, make_rng, sigmoid
+from driftkit.kernels import dropout_mask, make_rng, sigmoid
 
 from conftest import tiny_model
 

@@ -4,7 +4,7 @@ import pytest
 
 from driftkit.errors import ConfigError, ShapeError
 from driftkit.model import ModelConfig, ModelParams, backward, forward
-from driftkit.numerics import (
+from driftkit.kernels import (
     dropout_mask,
     make_rng,
     matmul,
@@ -46,8 +46,27 @@ def test_sigmoid_saturates_without_overflow():
 
 
 def test_sigmoid_preserves_shape():
-    z = np.zeros((3, 5))
-    assert sigmoid(z).shape == (3, 5)
+    z = np.linspace(-9, 9, 15).reshape(3, 5)
+    for arr in (z, z.T):  # C and Fortran order
+        p = sigmoid(arr)
+        assert p.shape == arr.shape
+        assert p.ravel().tobytes() == sigmoid(arr.ravel()).tobytes()
+
+
+def test_sigmoid_of_float32_and_integers_is_that_of_their_float64_values():
+    z32 = np.linspace(-30, 30, 101, dtype=np.float32)
+    assert sigmoid(z32).dtype == np.float64
+    assert sigmoid(z32).tobytes() == sigmoid(z32.astype(np.float64)).tobytes()
+    ints = np.arange(-40, 41)
+    assert sigmoid(ints).tobytes() == sigmoid(ints.astype(np.float64)).tobytes()
+    assert sigmoid(3) == sigmoid(3.0) and sigmoid(np.int8(-3)) == sigmoid(-3.0)
+
+
+def test_sigmoid_of_a_scalar_or_0d_array_is_a_float():
+    for z in (0.3, -2, np.float64(0.3), np.float32(-0.5), np.array(0.3), np.array(-700.0)):
+        p = sigmoid(z)
+        assert isinstance(p, float) and np.ndim(p) == 0, type(p)
+    assert sigmoid(np.array(0.3)) == sigmoid(np.array([0.3]))[0]
 
 
 def test_relu_and_grad():

@@ -44,7 +44,8 @@ def _train_plain_then_traced(tracer, cfg):
     """Same bytes with and without the tracer; one AdamW kernel call, one
     dropout draw and one loss-gradient call per step; validation scored
     through the traced ``forward``, once per epoch, in the ``train_val``
-    matmul context."""
+    matmul context, and its probabilities through the traced
+    ``kernels.sigmoid``, which a name bound at import would bypass."""
     ds = make_dataset(n=60, dim=4)
     tcfg = TrainConfig(n_val=20, batch_size=16, max_epochs=2, patience=2, lr=1e-2)
     plain, _ = training.train(ds, cfg, tcfg)
@@ -61,6 +62,7 @@ def _train_plain_then_traced(tracer, cfg):
     assert calls["numerics.dropout_mask"]["calls"] == calls["model.forward.train"]["calls"]
     assert calls["losses.loss_grad"]["calls"] == steps
     assert calls["model.forward.val"]["calls"] == history.epochs_run
+    assert calls["kernels.sigmoid"]["calls"] == history.epochs_run
     assert calls["numerics.matmul.train_val"]["calls"] > 0
 
 
@@ -92,7 +94,10 @@ def test_pfi_under_the_tracer_keeps_bytes_and_counts_every_flop(tracer):
     passes = 1 + cfg.input_dim * pcfg.n_repeats
     weights = [shape for name, shape in model.layer_shapes(cfg) if ".W" in name]
     flops_per_pass = sum(2.0 * len(ds) * k * m for k, m in weights)
-    span = tracer.aggregate(0)["numerics.matmul.pfi"]
+    calls = tracer.aggregate(0)
+    # one traced sigmoid per scored matrix, through model.predict_proba
+    assert calls["kernels.sigmoid"]["calls"] == passes
+    span = calls["numerics.matmul.pfi"]
     assert span["count"] == passes * flops_per_pass
     # 700 rows are two blocks here, so each pass makes more calls than layers
     assert span["calls"] > passes * len(weights)

@@ -9,7 +9,7 @@ from driftkit.errors import ConfigError, NumericError
 from driftkit.evaluation import confusion, metrics
 from driftkit.losses import LossConfig
 from driftkit.model import ModelConfig, forward
-from driftkit.numerics import sigmoid
+from driftkit.kernels import sigmoid
 from driftkit.training import TrainConfig, TrainHistory, train
 
 from conftest import make_dataset
