@@ -95,14 +95,29 @@ def _load_input(cfg: RunConfig, role: str) -> "Dataset":
     return load_dataset(_require_file(path, f"data.{role}"))
 
 
+def _model_path(cfg: RunConfig) -> Path:
+    return Path(cfg.out_dir) / "model.dnet"
+
+
 def _load_run_model(cfg: RunConfig) -> LoadedModel:
-    return load_model(_require_file(Path(cfg.out_dir) / "model.dnet", "model file"))
+    return load_model(_require_file(_model_path(cfg), "model file"))
+
+
+def _apply_mask(cfg: RunConfig, role: str, ds, mask: FeatureMask, source: str):
+    """``ds``, read from ``data.<role>``, with ``mask`` from ``source``
+    applied; a width mismatch raises ShapeError naming both."""
+    try:
+        return apply_mask(ds, mask)
+    except ShapeError as exc:
+        raise ShapeError(
+            f"data.{role} {cfg.data_path(role)}: {exc} (mask from {source})"
+        ) from None
 
 
 def _load_masked_input(cfg: RunConfig, model: LoadedModel, role: str):
     ds = _load_input(cfg, role)
     if model.mask is not None:
-        ds = apply_mask(ds, model.mask)
+        ds = _apply_mask(cfg, role, ds, model.mask, f"model file {_model_path(cfg)}")
     if ds.feature_dim != model.params.cfg.input_dim:
         raise ConfigError(
             f"data.{role} {cfg.data_path(role)} has {ds.feature_dim} features after masking, "
@@ -146,7 +161,7 @@ def _run_train(cfg: RunConfig) -> "TrainHistory":
     mask_path = cfg.data_path("mask")
     if mask_path:
         mask = FeatureMask.load(_require_file(mask_path, "data.mask"))
-        ds = apply_mask(ds, mask)
+        ds = _apply_mask(cfg, "train", ds, mask, f"data.mask {mask_path}")
     model_cfg = cfg.model_config(input_dim=ds.feature_dim)
     params, history = train(ds, model_cfg, cfg.train_config())
     out = _out_dir(cfg)

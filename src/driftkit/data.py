@@ -3,8 +3,9 @@ splitting, monthly bucketing, and feature-mask application.
 
 A Dataset is stored column-wise (features matrix, label vector, timestamp
 vector) and is immutable by convention: nothing in the package writes into
-a dataset's arrays. Most operations return new arrays; the buckets of
-``bucket_by_month`` are row-slice views that share memory with the stream.
+a dataset's arrays. Most operations return new arrays; the two parts of
+``split_recent`` and the buckets of ``bucket_by_month`` are row-slice views
+that share memory with a time-ordered stream.
 Timestamps are collection metadata (seconds since epoch, UTC), never model
 features; they exist to support chronological splits and bucketing.
 
@@ -19,6 +20,10 @@ Binary  magic ``DSET``, version byte 1, then little-endian u32 feature_dim
         memory holds the float64 matrix plus one chunk, not the file.
 Mask    JSON ``{"original_dim": int, "kept_indices": [int, ...]}``; extra
         keys are ignored on read.
+
+Integer fields read from JSON (``ts``, ``label``, the mask's indices and
+``original_dim``) must be JSON integers: a float, string or boolean is
+rejected, never truncated.
 
 Every file the package writes goes through ``atomic_open``: it is written
 under a temporary name in the target's directory and renamed over the
@@ -135,13 +140,21 @@ class FeatureMask:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMask":
+        """The mask a JSON document describes; anything malformed,
+        including a value that is not a JSON integer, is a FormatError."""
         if not isinstance(d, dict):
             raise FormatError("feature mask is not a JSON object")
         try:
-            return cls(tuple(d["kept_indices"]), int(d["original_dim"]))
+            kept, dim = d["kept_indices"], d["original_dim"]
         except KeyError as e:
             raise FormatError(f"feature mask file missing key {e}") from None
-        except (TypeError, ValueError) as e:
+        if not isinstance(kept, list) or not all(_json_int(i) for i in kept):
+            raise FormatError("kept_indices must be a list of integers")
+        if not _json_int(dim):
+            raise FormatError("original_dim must be an integer")
+        try:
+            return cls(tuple(kept), dim)
+        except ConfigError as e:
             raise FormatError(f"malformed feature mask: {e}") from None
 
     @classmethod
@@ -151,6 +164,11 @@ class FeatureMask:
             return cls.from_dict(doc)
         except FormatError as e:
             raise FormatError(f"{path}: {e}") from None
+
+
+def _json_int(value) -> bool:
+    """Whether a value parsed from JSON is an integer (booleans are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +202,9 @@ def read_json(path, error: type) -> dict:
     non-object raise ``error`` naming the path. Mirrors ``write_json``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so is an
+    # integer literal past Python's digit limit
+    except ValueError as exc:
         raise error(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: not a JSON object")
@@ -238,11 +258,14 @@ def _load_jsonl(path: Path) -> Dataset:
                 continue
             try:
                 obj = json.loads(line)
-                ts_list.append(int(obj["ts"]))
-                lab_list.append(int(obj["label"]))
-                feats = obj["features"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
+                ts, label, feats = obj["ts"], obj["label"], obj["features"]
+            # ValueError: invalid JSON, or an integer over Python's digit limit
+            except (ValueError, KeyError, TypeError) as e:
                 raise ParseError(f"{path}: {e}", row=lineno) from None
+            if not (_json_int(ts) and _json_int(label)):
+                raise ParseError(f"{path}: ts and label must be integers", row=lineno)
+            ts_list.append(ts)
+            lab_list.append(label)
             if not isinstance(feats, list) or not all(
                 isinstance(v, (int, float)) for v in feats
             ):
@@ -383,17 +406,28 @@ def split_random(ds: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
     return ds.subset(train_idx, name=ds.name + "/train"), ds.subset(val_idx, name=ds.name + "/val")
 
 
+def _in_time_order(ds: Dataset) -> Dataset:
+    """``ds`` itself when its timestamps never decrease, else one copy of
+    it in stable timestamp order (tied rows keep their order)."""
+    ts = ds.timestamps
+    if np.all(ts[:-1] <= ts[1:]):
+        return ds
+    return ds.subset(np.argsort(ts, kind="stable"))
+
+
 def split_recent(ds: Dataset, n_val: int) -> tuple[Dataset, Dataset]:
     """Chronological partition: val is the n_val most recent samples.
 
     Ties at the boundary go to the sample that appears later in the
-    original order (stable sort on timestamp).
+    original order (stable sort on timestamp). Both parts are row-slice
+    views of ``ds``, or of one sorted copy when it is out of time order.
     """
     _check_n_val(ds, n_val)
-    order = np.argsort(ds.timestamps, kind="stable")
+    ds = _in_time_order(ds)
+    cut = len(ds) - n_val
     return (
-        ds.subset(order[:-n_val], name=ds.name + "/train"),
-        ds.subset(order[-n_val:], name=ds.name + "/val"),
+        ds.subset(slice(None, cut), name=ds.name + "/train"),
+        ds.subset(slice(cut, None), name=ds.name + "/val"),
     )
 
 
@@ -413,10 +447,8 @@ def bucket_by_month(ds: Dataset) -> list[tuple[str, Dataset]]:
     ``ds``, or of one stable-sorted copy when it is out of time order."""
     if len(ds) == 0:
         return []
+    ds = _in_time_order(ds)
     ts = ds.timestamps
-    if not np.all(ts[:-1] <= ts[1:]):
-        ds = ds.subset(np.argsort(ts, kind="stable"))
-        ts = ds.timestamps
     # months since 1970-01, ascending
     months = ts.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
     for end in (0, -1):

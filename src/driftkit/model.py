@@ -473,7 +473,7 @@ def load_model(path) -> LoadedModel:
             raise FormatError(f"{path}: corrupt header: {hlen} bytes long in a {size}-byte file")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except ValueError as e:  # bad UTF-8 or JSON, or an integer past the digit limit
             raise FormatError(f"{path}: corrupt header: {e}") from None
         if not isinstance(header, dict):
             raise FormatError(f"{path}: header is not a JSON object")

@@ -141,7 +141,6 @@ def train(
         resolved_w0=loss_cfg.w0,
         resolved_w1=loss_cfg.w1,
     )
-    grads = ModelParams(model_cfg, np.empty_like(params.flat))
     best_params = params.copy()
     bad_epochs = 0
     # float64 labels once, so that each loss call's conversion copies nothing
@@ -151,6 +150,9 @@ def train(
     for epoch in range(train_cfg.max_epochs):
         order = rng.permutation(len(train_ds))
         epoch_loss = 0.0
+        # the gradient buffer lives for the steps only, so that it is not
+        # held beside the validation pass's cache
+        grads = ModelParams(model_cfg, np.empty_like(params.flat))
         for start in range(0, len(order), train_cfg.batch_size):
             idx = order[start : start + train_cfg.batch_size]
             Xb, yb = Xtr[idx], ytr[idx]
@@ -171,6 +173,7 @@ def train(
             backward(params, cache, dz, out=grads)
             del cache  # so that two steps' activations never coexist
             adamw_step(params, grads, opt)
+        del grads
         hist.train_loss.append(epoch_loss / len(train_ds))
 
         zval = forward(params, Xval, mode="eval")[0]  # its cache is dropped at once

@@ -306,6 +306,13 @@ def _with_header(edit):
     return corrupt
 
 
+def _digits_in_header(raw):
+    """A header whose meta is an integer past Python's 4300-digit limit."""
+    header, payload = _split_dnet(raw)
+    hb = json.dumps({**header, "meta": "@"}).replace('"@"', "1" * 5000).encode()
+    return raw[:5] + struct.pack("<I", len(hb)) + hb + payload
+
+
 def _drop_config_key(header):
     del header["config"]["trunk_width"]
     return header
@@ -339,10 +346,16 @@ def _poke_tensor(index, value):
      "dropout_rate"),
     (lambda raw: raw[:5] + struct.pack("<I", 2**32 - 1) + raw[9:], "corrupt header"),
     (lambda raw: raw[:5] + struct.pack("<I", len(raw) - 8) + raw[9:], "corrupt header"),
+    (_with_header(lambda h: {**h, "mask": {"original_dim": 6, "kept_indices": [1.5]}}),
+     "kept_indices must be a list of integers"),
+    (_with_header(lambda h: {**h, "mask": {"original_dim": 6, "kept_indices": [float("inf")]}}),
+     "kept_indices must be a list of integers"),
+    (_digits_in_header, "corrupt header"),
 ], ids=["header-list", "missing-config-key", "missing-config", "mask-list",
         "bad-config-value", "nan-first-weight", "inf-last-bias", "neg-inf-weight",
         "optimizer-state", "float-trunk-width", "bool-blocks", "string-dropout",
-        "huge-header-length", "header-one-past-end"])
+        "huge-header-length", "header-one-past-end", "mask-float-index",
+        "mask-infinite-index", "meta-int-over-digit-limit"])
 def test_eval_rejects_malformed_checkpoint(workdir, tmp_path, capsys, corrupt, message):
     out = tmp_path / "o"
     out.mkdir()
@@ -444,9 +457,31 @@ def _eval_stream_with_timestamp(ts):
     ("train", _jsonl_train({"ts": 1_609_459_200, "label": 1, "features": [0.0] * 5 + [10**400]}),
      "feature values must be finite"),
     ("train", _jsonl_train({"ts": float("inf"), "label": 1, "features": [0.0] * 6}), "row 3: "),
+    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 0.7, "features": [0.0] * 6}),
+     "row 3: "),
+    ("train", _jsonl_train({"ts": 1_609_459_200, "label": "1", "features": [0.0] * 6}),
+     "ts and label must be integers"),
+    ("train", _jsonl_train({"ts": 1_609_459_200, "label": True, "features": [0.0] * 6}),
+     "ts and label must be integers"),
+    ("train", _jsonl_train({"ts": 1_609_459_200.9, "label": 1, "features": [0.0] * 6}),
+     "ts and label must be integers"),
+    ("train", _mask_file({"original_dim": 6, "kept_indices": [float("inf")]}),
+     "kept_indices must be a list of integers"),
+    ("train", _mask_file({"original_dim": 6, "kept_indices": "12"}),
+     "kept_indices must be a list of integers"),
+    ("train", _mask_file({"original_dim": 6, "kept_indices": [1.7]}),
+     "kept_indices must be a list of integers"),
+    ("train", _mask_file({"original_dim": 6, "kept_indices": [True]}),
+     "kept_indices must be a list of integers"),
+    ("train", _mask_file({"original_dim": 6.9, "kept_indices": [0, 1]}),
+     "original_dim must be an integer"),
+    ("train", _mask_file({"original_dim": 6, "kept_indices": []}), "at least one index"),
 ], ids=["jsonl-scalar-features", "jsonl-string-feature", "mask-list", "eval-year-10000",
         "csv-label-minus-1", "csv-timestamp-beyond-int64", "jsonl-label-256",
-        "jsonl-feature-beyond-float64", "jsonl-infinite-timestamp"])
+        "jsonl-feature-beyond-float64", "jsonl-infinite-timestamp", "jsonl-float-label",
+        "jsonl-string-label", "jsonl-bool-label", "jsonl-float-timestamp",
+        "mask-infinite-index", "mask-string-indices", "mask-float-index", "mask-bool-index",
+        "mask-float-dim", "mask-empty"])
 def test_malformed_input_exits_3_naming_it(workdir, tmp_path, capsys, command, setup, message):
     cfg = json.loads(json.dumps(workdir["cfg"]))
     out = tmp_path / "o"
@@ -459,6 +494,35 @@ def test_malformed_input_exits_3_naming_it(workdir, tmp_path, capsys, command, s
     assert main([command, "--config", str(p)]) == 3
     err = capsys.readouterr().err
     assert str(named) in err and message in err
+
+
+def test_mask_width_mismatch_exits_2_naming_data_and_mask(workdir, tmp_path, capsys):
+    cfg = json.loads(json.dumps(workdir["cfg"]))
+    cfg["out_dir"] = str(tmp_path / "o")
+    mask = tmp_path / "mask.json"
+    mask.write_text(json.dumps({"original_dim": 7, "kept_indices": [0, 2]}))
+    cfg["data"]["mask"] = str(mask)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"data.train {workdir['stream']}" in err and f"data.mask {mask}" in err
+    assert "mask built for 7 features, dataset has 6" in err
+
+    # a masked model, evaluated on data one column narrower than its mask
+    mask.write_text(json.dumps({"original_dim": 6, "kept_indices": [0, 2]}))
+    assert main(["train", "--config", str(p)]) == 0
+    ds = load_dataset(workdir["stream"])
+    narrow = tmp_path / "narrow.dset"
+    save_dataset(Dataset(ds.features[:, :5], ds.labels, ds.timestamps), narrow)
+    cfg["data"]["eval"] = str(narrow)
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    model = tmp_path / "o" / "model.dnet"
+    assert f"data.eval {narrow}" in err and f"model file {model}" in err
+    assert "mask built for 6 features, dataset has 5" in err
 
 
 @pytest.mark.parametrize("key, value", [

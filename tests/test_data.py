@@ -164,6 +164,19 @@ def test_jsonl_parse_error_reports_row(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("ts, label", [
+    ("1609459200.9", "1"), ("1609459200", "0.7"), ("1609459200", '"1"'),
+    ('"1609459201"', "0"), ("1609459200", "true"), ("1" * 5000, "0"),
+], ids=["float-ts", "float-label", "string-label", "string-ts", "bool-label", "ts-digits"])
+def test_jsonl_requires_integer_ts_and_label(tmp_path, ts, label):
+    """Read through int(), these loaded truncated: 0.7 as 0, "1" as 1."""
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"ts": 1, "label": 0, "features": [0.5]}\n'
+                 f'{{"ts": {ts}, "label": {label}, "features": [0.5]}}\n')
+    with pytest.raises(ParseError, match=f"row 2: {re.escape(str(p))}"):
+        load_dataset(p)
+
+
 def test_jsonl_ragged_features(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text(
@@ -383,6 +396,34 @@ def test_feature_mask_validation():
         FeatureMask((0, 6), 6)
     with pytest.raises(ConfigError):
         FeatureMask((-1, 2), 6)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"original_dim": 6, "kept_indices": [float("inf")]}, "kept_indices must be a list"),
+    ({"original_dim": 6, "kept_indices": "12"}, "kept_indices must be a list"),
+    ({"original_dim": 6, "kept_indices": [1.7]}, "kept_indices must be a list"),
+    ({"original_dim": 6, "kept_indices": [True]}, "kept_indices must be a list"),
+    ({"original_dim": 6, "kept_indices": [0, None]}, "kept_indices must be a list"),
+    ({"original_dim": 6.9, "kept_indices": [0]}, "original_dim must be an integer"),
+    ({"original_dim": "6", "kept_indices": [0]}, "original_dim must be an integer"),
+    ({"original_dim": False, "kept_indices": [0]}, "original_dim must be an integer"),
+    ({"original_dim": 6, "kept_indices": [2, 1]}, "strictly increasing"),
+    ({"original_dim": 6, "kept_indices": [6]}, "out of range"),
+])
+def test_feature_mask_from_dict_requires_json_integers(doc, message):
+    with pytest.raises(FormatError, match=message):
+        FeatureMask.from_dict(doc)
+
+
+def test_feature_mask_load_names_the_file(tmp_path):
+    p = tmp_path / "mask.json"
+    p.write_text('{"original_dim": 6, "kept_indices": [1.0]}')
+    with pytest.raises(FormatError, match=re.escape(str(p))):
+        FeatureMask.load(p)
+    p.write_text('{"original_dim": ' + "1" * 5000 + ', "kept_indices": [0]}')
+    with pytest.raises(FormatError, match=re.escape(str(p))):
+        FeatureMask.load(p)
+    assert FeatureMask.from_dict({"original_dim": 6, "kept_indices": [0, 5]}) == FeatureMask((0, 5), 6)
 
 
 def test_feature_mask_save_load_tolerates_extra_keys(tmp_path):

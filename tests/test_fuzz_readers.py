@@ -13,6 +13,11 @@ NaN, huge and negative integers, wrong nesting). A row-width or header
 fault is a ShapeError (exit 2); so every case exits 0, 2 or 3, and a
 failing one names the file: by its path, or, for a timestamp past the
 year 9999, by the dataset name the loader takes from it (its stem).
+
+Feature mask (``data.mask``): the same text mutations of a mask JSON
+file, run through ``driftkit train``. A mask of the wrong width is a
+ShapeError (exit 2); every case exits 0, 2 or 3, and a failing one names
+the mask file.
 """
 
 import json
@@ -24,8 +29,8 @@ import pytest
 
 from driftkit import data
 from driftkit.cli import main
-from driftkit.data import save_dataset
-from driftkit.model import ModelConfig, init_model, layer_shapes, save_model
+from driftkit.data import FeatureMask, save_dataset
+from driftkit.model import ModelConfig, init_model, layer_shapes, load_model, save_model
 from driftkit.synthdrift import DriftSpec, generate_stream
 
 _CHUNK = 4096
@@ -49,14 +54,14 @@ def run(tmp_path, monkeypatch):
     return {"stream": stream, "model": out / "model.dnet", "config": config, "cfg": cfg}
 
 
-def _check(run, target, cases, capsys, codes=(0, 3), named=None):
-    """Write each (name, bytes) case over ``target`` and run eval on it; a
-    failing case's message must hold ``named``, by default the path."""
+def _check(run, target, cases, capsys, codes=(0, 3), named=None, command="eval"):
+    """Write each (name, bytes) case over ``target`` and run ``command`` on
+    it; a failing case's message must hold ``named``, by default the path."""
     named = str(target) if named is None else named
     for name, raw in cases:
         target.write_bytes(raw)
         try:
-            code = main(["eval", "--config", str(run["config"])])
+            code = main([command, "--config", str(run["config"])])
         except Exception as exc:  # a traceback at the command line
             pytest.fail(f"{target.name} case {name}: {type(exc).__name__}: {exc}")
         err = capsys.readouterr().err
@@ -193,3 +198,43 @@ def test_jsonl_reader_mutations(run, tmp_path, capsys):
         cases.append((name, _swap(lines, i, line)))
     cases.append(("valid", raw))
     _check(run, target, cases, capsys, codes=(0, 2, 3), named=target.stem)
+
+
+# inputs the mask reader mishandled, each a named case: an infinite index
+# and an integer past Python's digit limit ended in tracebacks, which this
+# harness catches; "12", 1.7, true and 6.9 were read as indices (1, 2), 1
+# and 1 and as original_dim 6, which the exit-3 cases of test_cli.py catch
+_MASK_REGRESSIONS = [
+    ("index-1e400", '{"original_dim": 6, "kept_indices": [1e400]}'),
+    ("indices-string", '{"original_dim": 6, "kept_indices": "12"}'),
+    ("index-float", '{"original_dim": 6, "kept_indices": [1.7]}'),
+    ("index-bool", '{"original_dim": 6, "kept_indices": [true]}'),
+    ("dim-float", '{"original_dim": 6.9, "kept_indices": [0, 1]}'),
+    ("dim-digits", '{"original_dim": ' + "1" * 5000 + ', "kept_indices": [0]}'),
+]
+
+
+def test_mask_reader_mutations(run, tmp_path, capsys):
+    target = tmp_path / "mask.json"
+    mask = {"original_dim": 6, "kept_indices": [0, 2, 5]}
+    raw = json.dumps(mask).encode()
+    config = {"out_dir": str(tmp_path / "trained"),
+              "data": {"train": str(run["stream"]), "mask": str(target)},
+              "model": {"trunk_width": 4, "n_residual_blocks": 0, "head_widths": [2]},
+              "train": {"n_val": 100, "batch_size": 500, "max_epochs": 1}}
+    run["config"].write_text(json.dumps(config))
+    rng = np.random.Generator(np.random.PCG64(1905))
+    cases = _byte_cases(raw, rng, 8)
+    for value in _JSON_VALUES:
+        for key in ("original_dim", "kept_indices"):
+            doc = json.dumps({**mask, key: "@"}).replace('"@"', value)
+            cases.append((f"{key}={value[:24]}", doc.encode()))
+        k = int(rng.integers(0, len(mask["kept_indices"])))
+        kept = json.dumps(mask["kept_indices"][:k] + ["@"] + mask["kept_indices"][k + 1:])
+        doc = json.dumps({**mask, "kept_indices": "#"}).replace('"#"', kept.replace('"@"', value))
+        cases.append((f"kept_indices[{k}]={value[:24]}", doc.encode()))
+    cases += [(name, doc.encode()) for name, doc in _MASK_REGRESSIONS]
+    cases.append(("valid", raw))
+    _check(run, target, cases, capsys, codes=(0, 2, 3), command="train")
+    # the valid case ran last, so the model it trained is the one on disk
+    assert load_model(tmp_path / "trained" / "model.dnet").mask == FeatureMask((0, 2, 5), 6)

@@ -9,8 +9,16 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from driftkit.data import _CHUNK_BYTES, Dataset, bucket_by_month, load_dataset, save_dataset
-from driftkit.model import ModelConfig, forward, init_model, load_model, save_model
+from driftkit import kernels
+from driftkit.data import (
+    _CHUNK_BYTES,
+    Dataset,
+    bucket_by_month,
+    load_dataset,
+    save_dataset,
+    split_recent,
+)
+from driftkit.model import ModelConfig, forward, init_model, load_model, param_count, save_model
 from driftkit.synthdrift import (
     DRIFT_SHAPES,
     DriftSpec,
@@ -19,6 +27,7 @@ from driftkit.synthdrift import (
     generate_stream,
     informative_indices,
 )
+from driftkit.training import TrainConfig, train
 
 
 def _traced(fn):
@@ -207,3 +216,47 @@ def test_buckets_of_a_shuffled_stream_equal_fancy_index_copies():
         for part in ("features", "labels", "timestamps"):
             assert np.array_equal(getattr(b, part), getattr(want, part))
         assert not np.shares_memory(b.features, ds.features)
+
+
+def test_split_recent_of_a_time_ordered_stream_is_views():
+    ds = generate_stream(DriftSpec(n_months=4, samples_per_month=300, feature_dim=8, drift_month=2))
+    (tr, val), held, _ = _traced(lambda: split_recent(ds, 250))
+    assert (len(tr), len(val)) == (950, 250)
+    for part in ("features", "labels", "timestamps"):
+        assert np.shares_memory(getattr(tr, part), getattr(ds, part))
+        assert np.shares_memory(getattr(val, part), getattr(ds, part))
+    assert held < ds.features.nbytes / 10
+
+
+def test_split_recent_of_a_shuffled_stream_equals_argsort_copies():
+    """Out of time order, with tied timestamps (some across the cut), the
+    parts equal fancy-index copies in stable timestamp order."""
+    rng = np.random.default_rng(11)
+    ts = rng.choice(1_609_459_200 + np.arange(0, 40 * 86_400, 86_400), size=500)
+    ds = Dataset(rng.standard_normal((500, 4)), rng.integers(0, 2, 500), ts, name="mix")
+    order = np.argsort(ts, kind="stable")
+    want = ds.subset(order[:-120], name="mix/train"), ds.subset(order[-120:], name="mix/val")
+    assert ts[order[-121]] == ts[order[-120]]  # a tie straddles the cut
+    for got, ref in zip(split_recent(ds, 120), want):
+        assert got.name == ref.name
+        for part in ("features", "labels", "timestamps"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
+        assert not np.shares_memory(got.features, ds.features)
+
+
+def test_training_peak_holds_no_idle_gradient_buffer():
+    """During validation train holds four parameter-sized vectors (params,
+    best params, AdamW's two moments) and the eval cache; the gradient
+    buffer and the split are not held beside them. The slack covers
+    AdamW's scratch vectors and small per-epoch arrays."""
+    cfg = ModelConfig(input_dim=30, trunk_width=256, n_residual_blocks=2, head_widths=(64,))
+    tcfg = TrainConfig(n_val=1000, batch_size=64, max_epochs=2, patience=2)
+    ds = generate_stream(DriftSpec(n_months=4, samples_per_month=500, feature_dim=30, drift_month=2))
+    _, _, peak = _traced(lambda: train(ds, cfg, tcfg))
+    param_bytes = 8 * param_count(cfg)
+    widths = (1 + 2 * cfg.n_residual_blocks) * cfg.trunk_width + sum(cfg.head_widths) + 1
+    val_cache = 8 * tcfg.n_val * widths
+    scratch = 2 * 8 * min(param_count(cfg), kernels.ADAMW_SLICE)
+    # the buffer this bound leaves out is bigger than the slack
+    assert param_bytes > scratch + 512 * 1024
+    assert peak <= 4 * param_bytes + val_cache + scratch + 512 * 1024
