@@ -24,7 +24,6 @@ or malformed input, empty mask), 4 numeric divergence, 1 other failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -34,12 +33,12 @@ from .config import RunConfig
 from .data import (
     FeatureMask,
     apply_mask,
-    atomic_open,
     bucket_by_month,
     compose_masks,
     load_dataset,
     read_json,
     save_dataset,
+    write_csv,
     write_json,
 )
 from .errors import (
@@ -60,21 +59,10 @@ DEFAULT_LAMBDAS = (0.5, 0.1, 0.05, 0.01, 0.001)
 DEFAULT_PENALTY_PAIRS = ((1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (5.0, 1.0))
 
 
-def _require_file(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"{what} not found: {p}")
-    return p
-
-
 def _load_run_config(args) -> RunConfig:
     if not args.config:
         raise ConfigError("--config is required for this command")
-    p = Path(args.config)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    cfg = RunConfig.from_file(p)
-    return cfg.with_overrides(seed=args.seed, out_dir=args.out)
+    return RunConfig.from_file(args.config).with_overrides(seed=args.seed, out_dir=args.out)
 
 
 def _stamp(cfg: RunConfig) -> str:
@@ -92,15 +80,11 @@ def _load_input(cfg: RunConfig, role: str) -> "Dataset":
     path = cfg.data_path(role)
     if not path:
         raise ConfigError(f"data.{role} is required for this command")
-    return load_dataset(_require_file(path, f"data.{role}"))
+    return load_dataset(path)
 
 
 def _model_path(cfg: RunConfig) -> Path:
     return Path(cfg.out_dir) / "model.dnet"
-
-
-def _load_run_model(cfg: RunConfig) -> LoadedModel:
-    return load_model(_require_file(_model_path(cfg), "model file"))
 
 
 def _apply_mask(cfg: RunConfig, role: str, ds, mask: FeatureMask, source: str):
@@ -135,16 +119,13 @@ def cmd_synth(args) -> int:
         raise ConfigError("--config <drift-spec JSON> is required")
     if not args.out:
         raise ConfigError("--out <dir> is required")
-    p = Path(args.config)
-    if not p.is_file():
-        raise ConfigError(f"drift spec file not found: {p}")
-    raw = read_json(p, ConfigError)
+    raw = read_json(args.config, ConfigError)
     if args.seed is not None:
         raw["seed"] = args.seed
     try:
         spec = DriftSpec.from_dict(raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ConfigError, TypeError) as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ds = generate_stream(spec)
@@ -160,7 +141,7 @@ def _run_train(cfg: RunConfig) -> "TrainHistory":
     mask = None
     mask_path = cfg.data_path("mask")
     if mask_path:
-        mask = FeatureMask.load(_require_file(mask_path, "data.mask"))
+        mask = FeatureMask.load(mask_path)
         ds = _apply_mask(cfg, "train", ds, mask, f"data.mask {mask_path}")
     model_cfg = cfg.model_config(input_dim=ds.feature_dim)
     params, history = train(ds, model_cfg, cfg.train_config())
@@ -190,7 +171,7 @@ def cmd_train(args) -> int:
 
 def cmd_pfi(args) -> int:
     cfg = _load_run_config(args)
-    model = _load_run_model(cfg)
+    model = load_model(_model_path(cfg))
     ds = _load_masked_input(cfg, model, "pfi")
     out = _out_dir(cfg)
     try:
@@ -209,8 +190,9 @@ def cmd_pfi(args) -> int:
     return 0
 
 
-def _run_eval(cfg: RunConfig) -> tuple:
-    model = _load_run_model(cfg)
+def _run_eval(cfg: RunConfig) -> dict:
+    """Evaluate the run's model on data.eval; the metrics.json document."""
+    model = load_model(_model_path(cfg))
     ds = _load_masked_input(cfg, model, "eval")
     settings = cfg.eval_settings()
     report = evaluate_buckets(model.params, bucket_by_month(ds), threshold=settings.threshold)
@@ -220,113 +202,100 @@ def _run_eval(cfg: RunConfig) -> tuple:
         persistence=settings.persistence,
     )
     out = _out_dir(cfg)
+    doc = {**report.to_json(), "drift": asdict(verdict), **cfg.stamp}
     report.write_csv(out / "metrics.csv", comment=_stamp(cfg))
-    write_json(out / "metrics.json", {**report.to_json(), "drift": asdict(verdict), **cfg.stamp})
-    return report, verdict
+    write_json(out / "metrics.json", doc)
+    return doc
 
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    _report, verdict = _run_eval(cfg)
+    drift = _run_eval(cfg)["drift"]
     out = Path(cfg.out_dir)
     _wrote(out / "metrics.csv")
     _wrote(out / "metrics.json")
-    onset = "none" if verdict.onset is None else str(verdict.onset)
-    print(f"drift onset: {onset} (epsilon={verdict.epsilon}, persisted={verdict.persisted})")
+    onset = "none" if drift["onset"] is None else str(drift["onset"])
+    print(f"drift onset: {onset} (epsilon={drift['epsilon']}, persisted={drift['persisted']})")
     return 0
 
 
 def _load_grid(path) -> tuple[list, list]:
     if path is None:
         return list(DEFAULT_LAMBDAS), [list(p) for p in DEFAULT_PENALTY_PAIRS]
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"grid file not found: {p}")
-    raw = read_json(p, ConfigError)
+    raw = read_json(path, ConfigError)
     unknown = set(raw) - {"lambdas", "penalty_pairs"}
     if unknown:
-        raise ConfigError(f"unknown grid key: {sorted(unknown)[0]}")
+        raise ConfigError(f"{path}: unknown grid key: {sorted(unknown)[0]}")
     lambdas = raw.get("lambdas", list(DEFAULT_LAMBDAS))
     pairs = raw.get("penalty_pairs", [list(p) for p in DEFAULT_PENALTY_PAIRS])
     if not _numbers(lambdas):
-        raise ConfigError(f"grid lambdas must be a non-empty list of numbers, got {lambdas!r}")
+        raise ConfigError(
+            f"{path}: grid lambdas must be a non-empty list of finite numbers, got {lambdas!r}"
+        )
     if not (isinstance(pairs, list) and pairs and all(_numbers(p, 2) for p in pairs)):
         raise ConfigError(
-            f"grid penalty_pairs must be a non-empty list of [p_fn, p_fp], got {pairs!r}"
+            f"{path}: grid penalty_pairs must be a non-empty list of [p_fn, p_fp], got {pairs!r}"
         )
     return lambdas, pairs
 
 
 def _numbers(value, length: int | None = None) -> bool:
-    """Whether ``value`` is a non-empty list of numbers, ``length`` long if given."""
+    """Whether ``value`` is a non-empty list of finite numbers, ``length``
+    long if given (abs() <= max fails NaN, inf and integers beyond float64)."""
     if not isinstance(value, list) or not value or length not in (None, len(value)):
         return False
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    return all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+        for v in value
+    )
 
 
 def _cell_name(lam: float, p_fn: float, p_fp: float) -> str:
     return f"lam{lam:g}_fn{p_fn:g}_fp{p_fp:g}"
 
 
+# the cells _eval_columns fills, in sweep.csv and report.csv alike
+EVAL_FIELDS = ("agg_acc", "agg_f1", "agg_fnr", "drift_onset")
+SWEEP_FIELDS = ("cell", "lam", "p_fn", "p_fp", "config_hash", "best_epoch", "best_score",
+                *EVAL_FIELDS)
+REPORT_FIELDS = ("model", "config_hash", "seed", "epochs_run", "best_epoch", "best_score",
+                 *EVAL_FIELDS, "drift_persisted")
+
+
+def _eval_columns(doc: dict) -> list:
+    """The EVAL_FIELDS cells of a metrics.json document; None is an empty cell."""
+    agg, drift = doc.get("aggregate", {}), doc.get("drift") or {}
+    return [agg.get("acc"), agg.get("f1"), agg.get("fnr"), drift.get("onset")]
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     lambdas, pairs = _load_grid(args.grid)
-    base_out = _out_dir(cfg)
-    rows = []
+    # every cell's config is built, and so checked, before any cell trains
+    cells = []
     for lam in lambdas:
         for p_fn, p_fp in pairs:
-            cell = _cell_name(lam, p_fn, p_fp)
-            cell_cfg = cfg.with_overrides(
-                out_dir=str(base_out / cell),
-                loss={"lam": lam, "p_fn": p_fn, "p_fp": p_fp},
-            )
-            history = _run_train(cell_cfg)
-            cell_loss = cell_cfg.loss_config()
-            row = {
-                "cell": cell,
-                "lam": cell_loss.lam,
-                "p_fn": cell_loss.p_fn,
-                "p_fp": cell_loss.p_fp,
-                "config_hash": cell_cfg.config_hash,
-                "best_epoch": history.best_epoch,
-                "best_score": history.best_score,
-                "agg_acc": "",
-                "agg_f1": "",
-                "agg_fnr": "",
-                "drift_onset": "",
-            }
-            if cfg.data_path("eval"):
-                report, verdict = _run_eval(cell_cfg)
-                agg = report.aggregate
-                row["agg_acc"] = agg.acc
-                row["agg_f1"] = "" if agg.f1 is None else agg.f1
-                row["agg_fnr"] = "" if agg.fnr is None else agg.fnr
-                row["drift_onset"] = "" if verdict.onset is None else verdict.onset
-            rows.append(row)
-            print(f"cell {cell}: best_score={history.best_score:.4f}")
-    sweep_csv = base_out / "sweep.csv"
-    with atomic_open(sweep_csv, newline="") as fh:
-        fh.write(f"# {_stamp(cfg)}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    _wrote(sweep_csv)
+            name = _cell_name(lam, p_fn, p_fp)
+            try:
+                cell_cfg = cfg.with_overrides(
+                    out_dir=str(Path(cfg.out_dir) / name),
+                    loss={"lam": lam, "p_fn": p_fn, "p_fp": p_fp},
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"{args.grid}: cell {name}: {exc}") from None
+            cells.append((name, cell_cfg))
+    base_out = _out_dir(cfg)
+    rows = []
+    for name, cell_cfg in cells:
+        history = _run_train(cell_cfg)
+        loss = cell_cfg.loss_config()
+        metrics = _run_eval(cell_cfg) if cfg.data_path("eval") else {}
+        rows.append([name, loss.lam, loss.p_fn, loss.p_fp, cell_cfg.config_hash,
+                     history.best_epoch, history.best_score, *_eval_columns(metrics)])
+        print(f"cell {name}: best_score={history.best_score:.4f}")
+    write_csv(base_out / "sweep.csv", SWEEP_FIELDS, rows, comment=_stamp(cfg))
+    _wrote(base_out / "sweep.csv")
     return 0
-
-
-REPORT_FIELDS = (
-    "model",
-    "config_hash",
-    "seed",
-    "epochs_run",
-    "best_epoch",
-    "best_score",
-    "agg_acc",
-    "agg_f1",
-    "agg_fnr",
-    "drift_onset",
-    "drift_persisted",
-)
 
 
 @contextmanager
@@ -335,7 +304,7 @@ def _run_file(path: Path):
     used inside the block, raises DataError naming the file."""
     try:
         yield read_json(path, DataError)
-    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+    except (ValueError, AttributeError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed run file: {exc}") from None
 
 
@@ -345,32 +314,18 @@ def _report_rows(run_dir: Path) -> tuple[list, list]:
     rows, over_time = [], []
     for hist_path in sorted(run_dir.rglob("history.json")):
         name = str(hist_path.parent.relative_to(run_dir)) or "."
-        row = dict.fromkeys(REPORT_FIELDS, "")
         with _run_file(hist_path) as h:
-            row.update(
-                model=name,
-                config_hash=h.get("config_hash", ""),
-                seed=h.get("seed", ""),
-                epochs_run=len(h.get("train_loss", [])),
-                best_epoch=h.get("best_epoch", ""),
-                best_score=h.get("best_score", ""),
-            )
+            row = [name, h.get("config_hash"), h.get("seed"), len(h.get("train_loss", [])),
+                   h.get("best_epoch"), h.get("best_score")]
         metrics_path = hist_path.parent / "metrics.json"
-        if metrics_path.is_file():
-            with _run_file(metrics_path) as m:
-                agg = m.get("aggregate", {})
-                verdict = m.get("drift") or {}
-                row.update(
-                    agg_acc=_blank_none(agg.get("acc")),
-                    agg_f1=_blank_none(agg.get("f1")),
-                    agg_fnr=_blank_none(agg.get("fnr")),
-                    drift_onset=_blank_none(verdict.get("onset")),
-                    drift_persisted=_blank_none(verdict.get("persisted")),
-                )
-                for b in m.get("buckets", []):
-                    for metric in ("f1", "acc", "err"):
-                        over_time.append([name, b["bucket"], metric, _blank_none(b.get(metric))])
-        rows.append(row)
+        if not metrics_path.is_file():
+            rows.append(row + _eval_columns({}) + [None])
+            continue
+        with _run_file(metrics_path) as m:
+            rows.append(row + [*_eval_columns(m), (m.get("drift") or {}).get("persisted")])
+            for b in m.get("buckets", []):
+                for metric in ("f1", "acc", "err"):
+                    over_time.append([name, b["bucket"], metric, b.get(metric)])
     return rows, over_time
 
 
@@ -384,23 +339,11 @@ def cmd_report(args) -> int:
     if not rows:
         raise DataError(f"no history.json found under {run_dir}")
 
-    report_csv = run_dir / "report.csv"
-    with atomic_open(report_csv, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-    over_time_csv = run_dir / "f1_over_time.csv"
-    with atomic_open(over_time_csv, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "bucket", "metric", "value"])
-        writer.writerows(over_time)
-    _wrote(report_csv)
-    _wrote(over_time_csv)
+    write_csv(run_dir / "report.csv", REPORT_FIELDS, rows)
+    write_csv(run_dir / "f1_over_time.csv", ["model", "bucket", "metric", "value"], over_time)
+    _wrote(run_dir / "report.csv")
+    _wrote(run_dir / "f1_over_time.csv")
     return 0
-
-
-def _blank_none(v):
-    return "" if v is None else v
 
 
 def _build_parser() -> argparse.ArgumentParser:

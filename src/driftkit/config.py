@@ -101,7 +101,10 @@ def _coerce(default, value, where: str):
     if isinstance(default, float):
         if not isinstance(value, (int, float)):
             raise ConfigError(f"{where} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond float64
+            raise ConfigError(f"{where} is beyond the float64 range") from None
     if isinstance(default, int):
         if not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
@@ -203,27 +206,17 @@ class RunConfig:
         return {"config_hash": self.config_hash, "seed": self.seed}
 
     def with_overrides(
-        self, seed: int | None = None, out_dir: str | None = None, **sections
+        self, seed: int | None = None, out_dir: str | None = None, loss: dict | None = None
     ) -> "RunConfig":
-        """New config with flag/sweep overrides applied.
-
-        ``sections`` maps section name to a dict of replacement leaves,
-        e.g. ``loss={"lam": 0.5}``.
-        """
-        d = copy.deepcopy(self.resolved)
+        """New config with flag/sweep overrides applied: ``loss`` holds
+        replacement leaves of the loss section, e.g. ``{"lam": 0.5}``."""
+        d = {**self.resolved, "loss": {**self.resolved["loss"], **(loss or {})}}
         if seed is not None:
             d["seed"] = seed
         if out_dir is not None:
             d["out_dir"] = out_dir
-        for name, leaves in sections.items():
-            if name not in d or not isinstance(d[name], dict):
-                raise ConfigError(f"unknown config section: {name}")
-            for key, val in leaves.items():
-                if key not in d[name]:
-                    raise ConfigError(f"unknown config key: {name}.{key}")
-                d[name][key] = val
-        # re-merge so overridden leaves get the same type coercion as
-        # file-loaded values and hash identically
+        # re-merge so overridden leaves get the same checks and type
+        # coercion as file-loaded values and hash identically
         return RunConfig.from_dict(d)
 
     @classmethod
@@ -232,4 +225,9 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(read_json(path, ConfigError))
+        """The config in ``path``; every ConfigError names the file."""
+        doc = read_json(path, ConfigError)
+        try:
+            return cls.from_dict(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None

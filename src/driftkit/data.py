@@ -197,11 +197,25 @@ def write_json(path, doc, **dumps_kwargs) -> None:
         fh.write(json.dumps(doc, indent=2, **dumps_kwargs) + "\n")
 
 
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write an optional ``# comment`` line, then ``header`` and ``rows``
+    as CSV, atomically; a None cell is written empty."""
+    with atomic_open(path, newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def read_json(path, error: type) -> dict:
-    """The JSON object in ``path``; non-UTF-8 bytes, invalid JSON or a
-    non-object raise ``error`` naming the path. Mirrors ``write_json``."""
+    """The JSON object in ``path``; a missing or unreadable file,
+    non-UTF-8 bytes, invalid JSON or a non-object raise ``error`` naming
+    the path. Mirrors ``write_json``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
     # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so is an
     # integer literal past Python's digit limit
     except ValueError as exc:
@@ -324,46 +338,41 @@ def _load_binary(path: Path) -> Dataset:
     return _read_dataset(path, *out)
 
 
-_FORMATS = {"csv": _load_csv, "jsonl": _load_jsonl, "binary": _load_binary}
-_EXTENSIONS = {".csv": "csv", ".jsonl": "jsonl", ".dset": "binary"}
+_LOADERS = {".csv": _load_csv, ".jsonl": _load_jsonl, ".dset": _load_binary}
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in _FORMATS:
-            raise ConfigError(f"unknown dataset format {fmt!r}")
-        return fmt
-    by_ext = _EXTENSIONS.get(path.suffix.lower())
-    if by_ext is None:
+def _extension(path: Path) -> str:
+    """``path``'s extension, lower-cased: it alone picks the format."""
+    ext = path.suffix.lower()
+    if ext not in _LOADERS:
         raise ConfigError(f"cannot infer format from extension of {path}")
-    return by_ext
+    return ext
 
 
-def load_dataset(path, format: str | None = None) -> Dataset:
-    """Load a dataset file (csv, jsonl, or binary; inferred from extension).
-    Text formats must be UTF-8; other bytes raise ParseError."""
+def load_dataset(path) -> Dataset:
+    """Load a dataset file (csv, jsonl, or binary ``.dset``, by extension).
+    A missing path or a directory raises DataError; text formats must be
+    UTF-8, other bytes raise ParseError."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
     try:
-        return _FORMATS[_infer_format(path, format)](path)
+        return _LOADERS[_extension(path)](path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def save_dataset(ds: Dataset, path, format: str | None = None) -> None:
+def save_dataset(ds: Dataset, path) -> None:
     path = Path(path)
-    fmt = _infer_format(path, format)
-    if fmt == "csv":
-        with atomic_open(path, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["timestamp", "label"] + [f"f{i}" for i in range(ds.feature_dim)])
-            for i in range(len(ds)):
-                w.writerow(
-                    [int(ds.timestamps[i]), int(ds.labels[i])]
-                    + [repr(float(v)) for v in ds.features[i]]
-                )
-    elif fmt == "jsonl":
+    ext = _extension(path)
+    if ext == ".csv":
+        header = ["timestamp", "label"] + [f"f{i}" for i in range(ds.feature_dim)]
+        rows = (
+            [int(ds.timestamps[i]), int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]]
+            for i in range(len(ds))
+        )
+        write_csv(path, header, rows)
+    elif ext == ".jsonl":
         with atomic_open(path) as fh:
             for i in range(len(ds)):
                 fh.write(
@@ -435,9 +444,10 @@ def month_label(year: int, month: int) -> str:
     return f"{year:04d}-{month:02d}"
 
 
-# bucket_by_month's month range, as months since 1970-01: 0001-01 .. 9999-12
-_FIRST_MONTH = (1 - 1970) * 12
-_LAST_MONTH = (9999 - 1970) * 12 + 11
+# the month range of bucket_by_month and of a synthetic stream, as months
+# since 1970-01: 0001-01 .. 9999-12
+FIRST_MONTH = (1 - 1970) * 12
+LAST_MONTH = (9999 - 1970) * 12 + 11
 
 
 def bucket_by_month(ds: Dataset) -> list[tuple[str, Dataset]]:
@@ -452,7 +462,7 @@ def bucket_by_month(ds: Dataset) -> list[tuple[str, Dataset]]:
     # months since 1970-01, ascending
     months = ts.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
     for end in (0, -1):
-        if not _FIRST_MONTH <= months[end] <= _LAST_MONTH:
+        if not FIRST_MONTH <= months[end] <= LAST_MONTH:
             raise DataError(
                 f"{ds.name or 'dataset'}: timestamp {ts[end]} lies outside the years 1-9999"
             )

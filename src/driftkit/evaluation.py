@@ -15,12 +15,11 @@ the evaluated window.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import atomic_open
+from .data import write_csv
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParams, predict_proba
 
@@ -121,16 +120,12 @@ class MetricsReport:
         }
 
     def write_csv(self, path, comment: str | None = None) -> None:
-        with atomic_open(path, newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            w = csv.writer(fh)
-            w.writerow(["bucket", "n", "n_pos", "acc", "f1", "fnr", "fpr", "err"])
-            for r in list(self.rows) + [self.aggregate]:
-                w.writerow(
-                    [r.bucket, r.n, r.n_pos]
-                    + ["" if v is None else f"{v:.6f}" for v in (r.acc, r.f1, r.fnr, r.fpr, r.err)]
-                )
+        rows = (
+            [r.bucket, r.n, r.n_pos]
+            + [None if v is None else f"{v:.6f}" for v in (r.acc, r.f1, r.fnr, r.fpr, r.err)]
+            for r in [*self.rows, self.aggregate]
+        )
+        write_csv(path, ["bucket", "n", "n_pos", "acc", "f1", "fnr", "fpr", "err"], rows, comment)
 
 
 def evaluate_buckets(

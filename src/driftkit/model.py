@@ -32,7 +32,8 @@ import numpy as np
 
 from . import kernels
 from .data import FeatureMask, atomic_open
-from .errors import ConfigError, DriftkitError, FormatError, ShapeError, StateError, require_ints
+from .errors import (ConfigError, DataError, DriftkitError, FormatError, ShapeError,
+                     StateError, require_ints)
 from .kernels import dropout_mask, make_rng, matmul
 
 _MAGIC = b"DNET"
@@ -458,9 +459,12 @@ def _parse_header(header) -> tuple:
 
 
 def load_model(path) -> LoadedModel:
-    """Read and validate a DNET checkpoint. Anything malformed, including
-    non-finite stored values, raises FormatError naming ``path``. The
-    tensors are read straight into the parameter vector."""
+    """Read and validate a DNET checkpoint. A missing path or a directory
+    raises DataError; anything malformed, including non-finite stored
+    values, raises FormatError naming ``path``. The tensors are read
+    straight into the parameter vector."""
+    if not os.path.isfile(path):
+        raise DataError(f"model file not found: {path}")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(9)

@@ -18,13 +18,12 @@ the order in which features are evaluated.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMask, atomic_open
+from .data import FeatureMask, write_csv
 from .errors import ConfigError, DataError, EmptyMaskError, ShapeError, require_ints
 from .evaluation import confusion, metrics
 from .model import ModelParams, predict_proba
@@ -62,13 +61,11 @@ class PfiReport:
     seed: int
 
     def write_csv(self, path, comment: str | None = None) -> None:
-        with atomic_open(path, newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            w = csv.writer(fh)
-            w.writerow(["feature_index", "importance", "kept"])
-            for i, (imp, keep) in enumerate(zip(self.importances, self.kept)):
-                w.writerow([i, repr(float(imp)), int(keep)])
+        rows = (
+            [i, repr(float(imp)), int(keep)]
+            for i, (imp, keep) in enumerate(zip(self.importances, self.kept))
+        )
+        write_csv(path, ["feature_index", "importance", "kept"], rows, comment)
 
 
 def _score(params: ModelParams, X, y, cfg: PfiConfig) -> float:

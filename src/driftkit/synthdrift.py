@@ -24,15 +24,14 @@ sample-for-sample regardless of generation order.
 
 from __future__ import annotations
 
-import calendar
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .data import Dataset
+from .data import FIRST_MONTH, LAST_MONTH, Dataset, month_label
 from .errors import ConfigError, require_ints
 
 DRIFT_SHAPES = ("sudden", "gradual", "incremental", "recurrent")
@@ -64,7 +63,11 @@ class DriftSpec:
         require_ints(self, *_INT_FIELDS)
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            # a bool is no number here, and abs() <= max fails NaN, inf and
+            # integers beyond float64
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+            ):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.start_month, str):
             raise ConfigError(f"start_month must be a string, got {self.start_month!r}")
@@ -82,7 +85,14 @@ class DriftSpec:
             raise ConfigError("class_balance must be in (0, 1)")
         if self.recurrent_period < 1:
             raise ConfigError("recurrent_period must be >= 1")
-        _parse_month(self.start_month)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        first = _first_month(self.start_month)
+        if not FIRST_MONTH <= first <= LAST_MONTH - self.n_months + 1:
+            raise ConfigError(
+                f"start_month {self.start_month!r} with n_months {self.n_months} "
+                "reaches outside the years 1-9999"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "DriftSpec":
@@ -93,7 +103,8 @@ class DriftSpec:
         return cls(**d)
 
 
-def _parse_month(s: str) -> tuple[int, int]:
+def _first_month(s: str) -> int:
+    """``start_month`` 'YYYY-MM' as months since 1970-01."""
     try:
         y, m = s.split("-")
         y, m = int(y), int(m)
@@ -101,12 +112,13 @@ def _parse_month(s: str) -> tuple[int, int]:
         raise ConfigError(f"start_month must look like 'YYYY-MM', got {s!r}") from None
     if not 1 <= m <= 12:
         raise ConfigError(f"month out of range in {s!r}")
-    return y, m
+    return (y - 1970) * 12 + m - 1
 
 
-def _month_add(year: int, month: int, k: int) -> tuple[int, int]:
-    idx = (year * 12 + (month - 1)) + k
-    return idx // 12, idx % 12 + 1
+def _year_month(spec: DriftSpec, month: int) -> tuple[int, int]:
+    """(year, month) of the stream's ``month``-th month."""
+    idx = _first_month(spec.start_month) + month
+    return 1970 + idx // 12, idx % 12 + 1
 
 
 def informative_indices(spec: DriftSpec) -> np.ndarray:
@@ -134,10 +146,8 @@ def concept_weight(spec: DriftSpec, month: int) -> float:
 
 
 def _month_timestamps(spec: DriftSpec, month: int) -> np.ndarray:
-    y0, m0 = _parse_month(spec.start_month)
-    y, m = _month_add(y0, m0, month)
-    mid = datetime(y, m, 15, tzinfo=timezone.utc)
-    base = int(calendar.timegm(mid.timetuple()))
+    mid = datetime(*_year_month(spec, month), 15, tzinfo=timezone.utc)
+    base = int(mid.timestamp())
     return base + np.arange(spec.samples_per_month, dtype=np.int64)
 
 
@@ -179,13 +189,11 @@ def concept_truth(spec: DriftSpec) -> dict:
     parameters, for oracle tests against the generated stream."""
     info = informative_indices(spec)
     months = []
-    y0, m0 = _parse_month(spec.start_month)
     for month in range(spec.n_months):
-        y, m = _month_add(y0, m0, month)
         w = concept_weight(spec, month)
         months.append(
             {
-                "label": f"{y:04d}-{m:02d}",
+                "label": month_label(*_year_month(spec, month)),
                 "n": spec.samples_per_month,
                 "new_concept_weight": w,
                 "mixing": spec.shape == "gradual",

@@ -93,6 +93,10 @@ def run_cli(name, commands):
                 argv = ["synth", "--config", str(spec), "--out", str(root / "synth")]
             elif command == "report":
                 argv = ["report", "--out", str(run)]
+            elif command == "sweep":
+                grid = root / "grid.json"
+                grid.write_text(json.dumps({"lambdas": [0.1], "penalty_pairs": [[5, 1]]}))
+                argv = ["sweep", "--config", str(cfg), "--grid", str(grid)]
             else:
                 argv = [command, "--config", str(cfg)]
             assert main(argv) == 0
@@ -114,6 +118,8 @@ ARTIFACTS = {
     "pfi_report.csv": run_cli("pfi_report.csv", ["train", "pfi"]),
     "metrics.csv": run_cli("metrics.csv", ["train", "eval"]),
     "report.csv": run_cli("report.csv", ["train", "report"]),
+    "f1_over_time.csv": run_cli("f1_over_time.csv", ["train", "eval", "report"]),
+    "sweep.csv": run_cli("sweep.csv", ["sweep"]),
 }
 
 
@@ -185,3 +191,18 @@ def test_only_atomic_open_opens_files_for_writing():
     assert offenders == {}
     # the one writer is seen when it is not exempt
     assert len(file_writes(ast.parse((sources[0].parent / "data.py").read_text()))) == 1
+
+
+def test_only_data_imports_csv():
+    """CSV artifacts are laid out in one place, ``data.write_csv``."""
+    importers = []
+    for src in sorted(Path(driftkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(src.read_text(), filename=str(src))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            if "csv" in names:
+                importers.append(src.name)
+    assert importers == ["data.py"]

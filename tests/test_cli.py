@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 from driftkit.cli import main
-from driftkit.data import Dataset, FeatureMask, load_dataset, save_dataset
+from driftkit.data import Dataset, FeatureMask, bucket_by_month, load_dataset, save_dataset
 from driftkit.errors import ConfigError
 from driftkit.model import load_model
 from driftkit.synthdrift import DriftSpec
@@ -153,13 +153,18 @@ def test_sweep_rejects_bad_grid(workdir, tmp_path, capsys):
         ({"lambdas": 5}, "lambdas"),
         ({"lambdas": [0.1, True]}, "lambdas"),
         ({"penalty_pairs": [["a", 1]]}, "penalty_pairs"),
+        # each cell's config is checked before the first cell trains
+        ({"lambdas": [0.1, -1]}, "cell lam-1_fn1_fp1: lam must be finite and >= 0"),
+        ({"penalty_pairs": [[0, 1]]}, "cell lam0.5_fn0_fp1: p_fn and p_fp must be"),
+        ({"lambdas": [10**400]}, "lambdas"),
     ]
-    for grid, key in cases:
+    for grid, message in cases:
         bad.write_text(json.dumps(grid))
         assert main(["sweep", "--config", str(workdir["cfg_path"]),
                      "--out", str(tmp_path / "s"), "--grid", str(bad)]) == 2, grid
-        assert key in capsys.readouterr().err
-    assert not (tmp_path / "s").exists()
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err, err
+        assert not (tmp_path / "s").exists()
 
 
 def test_report_consolidates(workdir, tmp_path):
@@ -384,6 +389,8 @@ def test_eval_rejects_malformed_checkpoint(workdir, tmp_path, capsys, corrupt, m
     ("eval", "epsilon", float("nan")),
     ("eval", "epsilon", float("inf")),
     ("pfi", "keep_threshold", float("nan")),
+    pytest.param("loss", "lam", 10**400, id="loss-lam-beyond-float64"),
+    pytest.param("train", "lr", 10**400, id="train-lr-beyond-float64"),
 ])
 def test_train_rejects_bad_hyperparameter_at_config_time(
     workdir, tmp_path, capsys, section, key, value
@@ -530,6 +537,9 @@ def test_mask_width_mismatch_exits_2_naming_data_and_mask(workdir, tmp_path, cap
     ("seed", 1.5),
     ("drift_magnitude", float("nan")),
     ("start_month", 202101),
+    ("drift_magnitude", True),
+    ("informative_scale", True),
+    pytest.param("drift_magnitude", 10**400, id="drift_magnitude-beyond-float64"),
 ])
 def test_synth_rejects_wrongly_typed_spec_field(tmp_path, capsys, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -537,7 +547,29 @@ def test_synth_rejects_wrongly_typed_spec_field(tmp_path, capsys, key, value):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**DRIFT_SPEC, key: value}))
     assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "s")]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and str(spec) in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("start_month, n_months", [("9999-12", 2), ("0000-01", 4),
+                                                   ("10000-01", 4)])
+def test_synth_rejects_months_outside_years_1_to_9999(tmp_path, capsys, start_month, n_months):
+    """The bound bucket_by_month enforces; at the edges the stream fits."""
+    spec = tmp_path / "spec.json"
+    doc = {**DRIFT_SPEC, "start_month": start_month, "n_months": n_months, "drift_month": 0}
+    spec.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "start_month" in err and str(spec) in err
+    for edge in ({"start_month": "9999-12", "n_months": 1}, {"start_month": "0001-01"}):
+        spec.write_text(json.dumps({**doc, **edge}))
+        assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "s")]) == 0
+        truth = json.loads((tmp_path / "s" / "truth.json").read_text())
+        ds = load_dataset(tmp_path / "s" / "stream.dset")
+        labels = [label for label, _ in bucket_by_month(ds)]
+        assert labels == [m["label"] for m in truth["months"]]
+        assert labels[0] == edge["start_month"]
 
 
 def _non_utf8(command, role):
@@ -579,6 +611,36 @@ def test_non_utf8_input_fails_cleanly_naming_it(workdir, tmp_path, capsys, setup
     assert main(argv) == code
     err = capsys.readouterr().err
     assert str(bad) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("make", ["missing", "directory"])
+@pytest.mark.parametrize("role, code", [("config", 2), ("spec", 2), ("grid", 2),
+                                        ("train", 3), ("mask", 3), ("model", 3)])
+def test_unreadable_input_keeps_its_exit_code_naming_it(workdir, tmp_path, capsys,
+                                                        role, code, make):
+    """``role``'s input is a missing path or a directory."""
+    bad = tmp_path / {"config": "run.json", "spec": "spec.json", "grid": "grid.json",
+                      "train": "train.dset", "mask": "mask.json", "model": "model.dnet"}[role]
+    if make == "directory":
+        bad.mkdir()
+    cfg = json.loads(json.dumps(workdir["cfg"]))
+    cfg["out_dir"] = str(tmp_path / "o")
+    if role in ("train", "mask"):
+        cfg["data"][role] = str(bad)
+    elif role == "model":
+        cfg["out_dir"] = str(bad.parent)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(cfg))
+    argv = {
+        "config": ["train", "--config", str(bad)],
+        "spec": ["synth", "--config", str(bad), "--out", str(tmp_path / "o")],
+        "grid": ["sweep", "--config", str(good), "--grid", str(bad)],
+        "model": ["eval", "--config", str(good)],
+    }.get(role, ["train", "--config", str(good)])
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err, err
     assert not (tmp_path / "o").exists()
 
 

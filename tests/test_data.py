@@ -16,9 +16,11 @@ from driftkit.data import (
     compose_masks,
     load_dataset,
     month_label,
+    read_json,
     save_dataset,
     split_random,
     split_recent,
+    write_csv,
     write_json,
 )
 from driftkit.errors import (
@@ -28,6 +30,7 @@ from driftkit.errors import (
     ParseError,
     ShapeError,
 )
+from driftkit.model import load_model
 
 from conftest import make_dataset
 
@@ -106,21 +109,45 @@ def test_save_load_round_trip(tmp_path, ext):
         assert np.array_equal(back.features, ds.features)
 
 
-def test_explicit_format_overrides_extension(tmp_path):
-    ds = make_dataset(n=5)
+def test_unknown_extension_is_a_config_error(tmp_path):
     path = tmp_path / "data.bin"
-    save_dataset(ds, path, format="binary")
-    back = load_dataset(path, format="binary")
-    assert len(back) == 5
-    with pytest.raises(ConfigError):
-        load_dataset(path)  # unknown extension, no format given
-    with pytest.raises(ConfigError):
-        load_dataset(path, format="parquet")
+    with pytest.raises(ConfigError, match="extension"):
+        save_dataset(make_dataset(n=5), path)
+    path.write_bytes(b"DSET")
+    with pytest.raises(ConfigError, match="extension"):
+        load_dataset(path)
 
 
 def test_load_missing_file():
     with pytest.raises(DataError, match="not found"):
         load_dataset("/nonexistent/file.csv")
+
+
+def test_write_csv_layout(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], iter([[1, None], ["x,y", 0.5]]), comment="seed=3")
+    # the comment line ends in \n, the csv rows in \r\n; None is an empty cell
+    assert path.read_bytes() == b'# seed=3\na,b\r\n1,\r\n"x,y",0.5\r\n'
+    write_csv(path, ["a"], [])
+    assert path.read_bytes() == b"a\r\n"
+
+
+@pytest.mark.parametrize("make", ["missing", "directory"])
+def test_readers_name_a_path_they_cannot_read(tmp_path, make):
+    """A missing path or a directory is each reader's own DriftkitError
+    naming the path, not a bare OSError."""
+    for name, read, error in [
+        ("rows.csv", load_dataset, DataError),
+        ("stream.dset", load_dataset, DataError),
+        ("model.dnet", load_model, DataError),
+        ("run.json", lambda p: read_json(p, ConfigError), ConfigError),
+        ("mask.json", FeatureMask.load, FormatError),
+    ]:
+        path = tmp_path / name
+        if make == "directory":
+            path.mkdir()
+        with pytest.raises(error, match=re.escape(str(path))):
+            read(path)
 
 
 def test_csv_parse_error_reports_row(tmp_path):

@@ -18,17 +18,30 @@ Feature mask (``data.mask``): the same text mutations of a mask JSON
 file, run through ``driftkit train``. A mask of the wrong width is a
 ShapeError (exit 2); every case exits 0, 2 or 3, and a failing one names
 the mask file.
+
+Run config, drift spec and sweep grid: every value of a valid document
+(sections and lists too) swapped for JSON values drawn from the list
+above and wrapped one level deeper, and every object given an unknown
+key, plus seeded truncations and byte flips; run through ``eval``,
+``synth`` and ``sweep``. Every case exits 0, 2 or 3, and a failing one names the file.
+The config's ``data`` paths are left alone, since another path is
+another file, whose own reader names it. A size the spec's generator
+cannot allocate (``samples_per_month`` of 2**40, say) is valid but out
+of scope; ROADMAP.md records it.
 """
 
+import copy
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from driftkit import data
 from driftkit.cli import main
+from driftkit.config import RunConfig
 from driftkit.data import FeatureMask, save_dataset
 from driftkit.model import ModelConfig, init_model, layer_shapes, load_model, save_model
 from driftkit.synthdrift import DriftSpec, generate_stream
@@ -54,14 +67,17 @@ def run(tmp_path, monkeypatch):
     return {"stream": stream, "model": out / "model.dnet", "config": config, "cfg": cfg}
 
 
-def _check(run, target, cases, capsys, codes=(0, 3), named=None, command="eval"):
-    """Write each (name, bytes) case over ``target`` and run ``command`` on
-    it; a failing case's message must hold ``named``, by default the path."""
+def _check(run, target, cases, capsys, codes=(0, 3), named=None, argv=("eval",)):
+    """Write each (name, bytes) case over ``target`` and run ``argv``, by
+    default with the run's ``--config``; a failing case's message must
+    hold ``named``, by default the path."""
     named = str(target) if named is None else named
+    if len(argv) == 1:
+        argv = [*argv, "--config", str(run["config"])]
     for name, raw in cases:
         target.write_bytes(raw)
         try:
-            code = main([command, "--config", str(run["config"])])
+            code = main(list(argv))
         except Exception as exc:  # a traceback at the command line
             pytest.fail(f"{target.name} case {name}: {type(exc).__name__}: {exc}")
         err = capsys.readouterr().err
@@ -235,6 +251,105 @@ def test_mask_reader_mutations(run, tmp_path, capsys):
         cases.append((f"kept_indices[{k}]={value[:24]}", doc.encode()))
     cases += [(name, doc.encode()) for name, doc in _MASK_REGRESSIONS]
     cases.append(("valid", raw))
-    _check(run, target, cases, capsys, codes=(0, 2, 3), command="train")
+    _check(run, target, cases, capsys, codes=(0, 2, 3), argv=("train",))
     # the valid case ran last, so the model it trained is the one on disk
     assert load_model(tmp_path / "trained" / "model.dnet").mask == FeatureMask((0, 2, 5), 6)
+
+
+def _nodes(doc, path=()):
+    """The path of every value under ``doc``, lists and objects too."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from _nodes(value, path + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, literal):
+    """``doc`` as JSON bytes, with the value at ``path`` (the whole document
+    for ``()``) replaced by the JSON text ``literal``."""
+    if not path:
+        return literal.encode()
+    doc = copy.deepcopy(doc)
+    _node(doc, path[:-1])[path[-1]] = "@"
+    return json.dumps(doc).replace('"@"', literal).encode()
+
+
+def _document_cases(doc, rng, per_value, keep=lambda path, value: True, flip_end=None):
+    """Mutations of the JSON document ``doc``: truncations and byte flips
+    (before ``flip_end``), each value swapped for ``per_value`` of
+    ``_JSON_VALUES`` drawn at random (those ``keep`` allows), wrapped in a
+    list and in an object, and an unknown key in every object."""
+    raw = json.dumps(doc).encode()
+    cases = [(f"cut@{c}", raw[:c]) for c in rng.integers(0, len(raw), size=10)]
+    cases += _flips(raw, flip_end or len(raw), rng, 30)
+    for path in list(_nodes(doc)):
+        where = ".".join(map(str, path))
+        drawn = rng.choice(len(_JSON_VALUES), size=per_value, replace=False)
+        cases += [(f"{where}={value[:24]}", _replaced(doc, path, value))
+                  for value in (_JSON_VALUES[i] for i in sorted(drawn)) if keep(path, value)]
+        node = json.dumps(_node(doc, path))
+        cases += [(f"{where}=[...]", _replaced(doc, path, f"[{node}]")),
+                  (f"{where}={{...}}", _replaced(doc, path, f'{{"{path[-1]}": {node}}}'))]
+    for path in [()] + [p for p in _nodes(doc) if isinstance(_node(doc, p), dict)]:
+        node = {**_node(doc, path), "colour": 1}
+        cases.append((f"{'.'.join(map(str, path))}+colour", _replaced(doc, path, json.dumps(node))))
+    return cases + [("valid", raw)]
+
+
+def test_run_config_mutations(run, tmp_path, capsys):
+    """Through ``eval``, which allocates nothing by the config's sizes."""
+    doc = RunConfig.from_dict({}).resolved
+    del doc["out_dir"]  # --out names the run directory
+    doc["data"] = doc.pop("data")  # last, so the flips before it leave it alone
+    doc["data"]["eval"] = str(run["stream"])
+    target = run["config"]
+    rng = np.random.Generator(np.random.PCG64(2001))
+    cases = _document_cases(doc, rng, 6, keep=lambda path, value: path[0] != "data",
+                            flip_end=json.dumps(doc).index('"data"'))
+    # ended in an OverflowError traceback before this fuzz
+    cases += [(f"{section}.{key}=10**400", _replaced(doc, (section, key), "1" + "0" * 400))
+              for section, key in (("loss", "lam"), ("train", "lr"))]
+    _check(run, target, cases, capsys, codes=(0, 2, 3),
+           argv=["eval", "--config", str(target), "--out", str(run["model"].parent)])
+
+
+# the drift spec's sizes: a value numpy cannot allocate is out of scope
+_SPEC_SIZES = {"n_months", "samples_per_month", "feature_dim"}
+
+
+def test_drift_spec_mutations(tmp_path, capsys):
+    doc = asdict(DriftSpec(n_months=3, samples_per_month=20, feature_dim=4, n_informative=2,
+                           drift_month=1))
+    target = tmp_path / "spec.json"
+    rng = np.random.Generator(np.random.PCG64(2002))
+    cases = _document_cases(doc, rng, 10, keep=lambda path, value: not (
+        path[0] in _SPEC_SIZES and value.lstrip("-").isdigit() and len(value) > 3))
+    # ended in tracebacks before this fuzz: an OverflowError, numpy's
+    # ValueError for a negative seed, and a year past 9999
+    cases += [("drift_magnitude=10**400", _replaced(doc, ("drift_magnitude",), "1" + "0" * 400)),
+              ("seed=-1", _replaced(doc, ("seed",), "-1")),
+              ("start_month=9999-12", _replaced(doc, ("start_month",), '"9999-12"'))]
+    _check(None, target, cases, capsys, codes=(0, 2, 3),
+           argv=["synth", "--config", str(target), "--out", str(tmp_path / "synth")])
+
+
+def test_sweep_grid_mutations(run, tmp_path, capsys):
+    config = {"data": {"train": str(run["stream"])},
+              "model": {"trunk_width": 4, "n_residual_blocks": 0, "head_widths": [2]},
+              "train": {"n_val": 100, "batch_size": 500, "max_epochs": 1}}
+    run["config"].write_text(json.dumps(config))
+    doc = {"lambdas": [0.1], "penalty_pairs": [[5, 1]]}
+    target = tmp_path / "grid.json"
+    rng = np.random.Generator(np.random.PCG64(2003))
+    cases = _document_cases(doc, rng, len(_JSON_VALUES))
+    # ended in an OverflowError traceback, from the cell name, before this fuzz
+    cases.append(("lambdas=[10**400]", _replaced(doc, ("lambdas",), "[1" + "0" * 400 + "]")))
+    _check(run, target, cases, capsys, codes=(0, 2, 3),
+           argv=["sweep", "--config", str(run["config"]), "--grid", str(target),
+                 "--out", str(tmp_path / "sweep")])

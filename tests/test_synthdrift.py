@@ -221,6 +221,8 @@ def test_spec_validation():
         DriftSpec(class_balance=1.0)
     with pytest.raises(ConfigError):
         DriftSpec(recurrent_period=0)
+    with pytest.raises(ConfigError, match="seed"):
+        DriftSpec(seed=-1)  # was a ValueError from numpy's SeedSequence
     for bad in ("2021", "2021-13", "garbage", "2021-00"):
         with pytest.raises(ConfigError):
             DriftSpec(start_month=bad)
