@@ -15,11 +15,18 @@ CSV     header ``timestamp,label,f0,...,f{d-1}``; integer seconds, 0/1 label.
 JSONL   one object per line: ``{"ts": int, "label": 0|1, "features": [...]}``.
 Binary  magic ``DSET``, version byte 1, then little-endian u32 feature_dim
         (>= 1), u64 sample_count, and per sample: i64 timestamp, u8 label,
-        feature_dim float32 values. Features widen to float64 in memory.
-        Records are read and written one <= 1 MiB chunk at a time, so
-        memory holds the float64 matrix plus one chunk, not the file.
+        feature_dim float32 values, loaded as a float32 matrix. Records
+        are read and written one <= 1 MiB chunk at a time, so memory holds
+        the matrix plus one chunk, not the file. A finite float64 value
+        beyond float32's range cannot be saved (DataError).
 Mask    JSON ``{"original_dim": int, "kept_indices": [int, ...]}``; extra
         keys are ignored on read.
+
+Features keep float32 when they come as float32 (``.dset`` files, the
+synthetic generator), so a stream is held once, at file precision; any
+other input, CSV and JSONL included, becomes float64. The model widens
+its input to float64 one batch or block at a time, and that widening is
+exact, so both precisions of the same values give the same bits.
 
 Integer fields read from JSON (``ts``, ``label``, the mask's indices and
 ``original_dim``) must be JSON integers: a float, string or boolean is
@@ -50,18 +57,21 @@ from .kernels import make_rng
 _MAGIC = b"DSET"
 _VERSION = 1
 _CHUNK_BYTES = 1 << 20  # bytes of binary records held at once
+_F32_OVERFLOW = 2.0**128 - 2.0**103  # the least float64 that rounds to float32 infinity
 
 
 @dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (n, feature_dim) float64
+    features: np.ndarray  # (n, feature_dim) float32 if given as float32, else float64
     labels: np.ndarray  # (n,) uint8, values in {0, 1}
     timestamps: np.ndarray  # (n,) int64, seconds since epoch UTC
     name: str = ""
 
     def __post_init__(self):
+        f = self.features
+        dtype = np.float32 if getattr(f, "dtype", None) == np.float32 else np.float64
         try:
-            f = np.ascontiguousarray(self.features, dtype=np.float64)
+            f = np.ascontiguousarray(f, dtype=dtype)
         except OverflowError:  # a Python int beyond float64
             raise DataError("feature values must be finite") from None
         if f.ndim != 2:
@@ -329,7 +339,8 @@ def _load_binary(path: Path) -> Dataset:
             raise FormatError(f"{path}: truncated file, expected {expected} bytes, got {size}")
         if count == 0:
             raise DataError(f"{path}: empty dataset file")
-        out = np.empty((count, dim)), np.empty(count, np.uint8), np.empty(count, np.int64)
+        out = (np.empty((count, dim), np.float32), np.empty(count, np.uint8),
+               np.empty(count, np.int64))
         for lo, chunk in _record_chunks(rec, count):
             if fh.readinto(chunk) != chunk.nbytes:
                 raise FormatError(f"{path}: truncated file, it shrank while being read")
@@ -386,6 +397,9 @@ def save_dataset(ds: Dataset, path) -> None:
                     + "\n"
                 )
     else:
+        f = ds.features  # checked first: the float32 cast would write infinity
+        if f.dtype != np.float32 and f.size and max(-f.min(), f.max()) >= _F32_OVERFLOW:
+            raise DataError(f"{path}: feature values beyond float32 range cannot be saved")
         rec = _record_dtype(ds.feature_dim)
         with atomic_open(path, "wb") as fh:
             fh.write(_MAGIC + bytes([_VERSION]) + struct.pack("<IQ", ds.feature_dim, len(ds)))

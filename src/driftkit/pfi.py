@@ -100,25 +100,25 @@ def run_pfi(
     threshold an EmptyMaskError is raised with the report attached, since
     a mask must keep at least one feature.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    # the one float64 working copy: scored as it is, then permuted column
+    # by column, each column restored before the next
+    X_work = np.array(X, dtype=np.float64, order="C")
+    if X_work.ndim != 2 or X_work.shape[0] == 0:
         raise DataError("PFI needs a non-empty 2-D evaluation matrix")
-    if X.shape[1] != params.cfg.input_dim:
-        raise ShapeError(
-            f"matrix has {X.shape[1]} features, model expects {params.cfg.input_dim}"
-        )
+    n, d = X_work.shape
+    if d != params.cfg.input_dim:
+        raise ShapeError(f"matrix has {d} features, model expects {params.cfg.input_dim}")
     y = np.asarray(y)
-    if y.shape != (X.shape[0],):
+    if y.shape != (n,):
         raise ShapeError("labels length must match sample count")
 
-    e_base = _score(params, X, y, cfg)
-    X_work = X.copy()
+    e_base = _score(params, X_work, y, cfg)
     importances = np.array(
-        [column_importance(params, X_work, y, col, cfg, e_base) for col in range(X.shape[1])]
+        [column_importance(params, X_work, y, col, cfg, e_base) for col in range(d)]
     )
     kept = importances > cfg.keep_threshold
     report = PfiReport(importances, kept, e_base, cfg.metric, cfg.n_repeats, cfg.seed)
     if not kept.any():
         raise EmptyMaskError("no feature importance exceeded the keep threshold", report)
-    mask = FeatureMask(tuple(int(i) for i in np.flatnonzero(kept)), X.shape[1])
+    mask = FeatureMask(tuple(int(i) for i in np.flatnonzero(kept)), d)
     return mask, report

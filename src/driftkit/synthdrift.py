@@ -25,6 +25,7 @@ sample-for-sample regardless of generation order.
 from __future__ import annotations
 
 import numbers
+import re
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -104,14 +105,13 @@ class DriftSpec:
 
 
 def _first_month(s: str) -> int:
-    """``start_month`` 'YYYY-MM' as months since 1970-01."""
-    try:
-        y, m = s.split("-")
-        y, m = int(y), int(m)
-    except ValueError:
-        raise ConfigError(f"start_month must look like 'YYYY-MM', got {s!r}") from None
+    """``start_month`` 'YYYY-MM' (four ASCII digits, a dash, two) as
+    months since 1970-01."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}", s):
+        raise ConfigError(f"start_month must look like 'YYYY-MM', got {s!r}")
+    y, m = int(s[:4]), int(s[5:])
     if not 1 <= m <= 12:
-        raise ConfigError(f"month out of range in {s!r}")
+        raise ConfigError(f"start_month month out of range in {s!r}")
     return (y - 1970) * 12 + m - 1
 
 
@@ -152,23 +152,26 @@ def _month_timestamps(spec: DriftSpec, month: int) -> np.ndarray:
 
 
 def generate_stream(spec: DriftSpec) -> Dataset:
-    """Generate the full stream, timestamped mid-month, months ascending."""
+    """Generate the full stream, timestamped mid-month, months ascending,
+    with float32 features, the precision a ``.dset`` file stores."""
     info = informative_indices(spec)
     shift_per_dim = (
         spec.drift_magnitude / np.sqrt(spec.n_informative) if spec.drift_magnitude else 0.0
     )
     n = spec.samples_per_month
     rows = spec.n_months * n
-    feats = np.empty((rows, spec.feature_dim))
+    feats = np.empty((rows, spec.feature_dim), dtype=np.float32)
     labels = np.empty(rows, dtype=np.uint8)
     stamps = np.empty(rows, dtype=np.int64)
+    block = np.empty((n, spec.feature_dim))
     for month in range(spec.n_months):
         part = slice(month * n, (month + 1) * n)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, month))))
         y = labels[part]
         y[...] = rng.random(n) < spec.class_balance
-        # filled in place: the same draws, in the same order, as a new matrix
-        X = rng.standard_normal(out=feats[part])
+        # one reused float64 block: the same draws, in the same order, as a
+        # new matrix per month
+        X = rng.standard_normal(out=block)
         w = concept_weight(spec, month)
         if spec.shape == "gradual" and 0.0 < w:
             # per-sample concept choice: old mean or fully shifted mean
@@ -180,6 +183,9 @@ def generate_stream(spec: DriftSpec) -> Dataset:
             shift[pos], np.full(spec.n_informative, shift_per_dim)
         )
         X[np.ix_(~pos, info)] -= spec.informative_scale
+        # rounded to float32 by the cast a .dset save applies, so the
+        # stream in memory equals its saved file bit for bit
+        feats[part] = X
         stamps[part] = _month_timestamps(spec, month)
     return Dataset(feats, labels, stamps, name=f"synth-{spec.shape}")
 

@@ -537,6 +537,15 @@ def test_mask_width_mismatch_exits_2_naming_data_and_mask(workdir, tmp_path, cap
     ("seed", 1.5),
     ("drift_magnitude", float("nan")),
     ("start_month", 202101),
+    # a lenient int() read the next six as 2021-01; start_month is four
+    # ASCII digits, a dash and two, and a month past 12 names the field too
+    ("start_month", "2_021-01"),
+    ("start_month", " 2021-1"),
+    ("start_month", "+2021-01"),
+    ("start_month", "2021-1 "),
+    ("start_month", "2021-1"),
+    ("start_month", "\u0662\u0660\u0662\u0661-01"),
+    ("start_month", "2021-13"),
     ("drift_magnitude", True),
     ("informative_scale", True),
     pytest.param("drift_magnitude", 10**400, id="drift_magnitude-beyond-float64"),

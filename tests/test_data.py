@@ -109,6 +109,23 @@ def test_save_load_round_trip(tmp_path, ext):
         assert np.array_equal(back.features, ds.features)
 
 
+@pytest.mark.parametrize("value", [1e300, -1e300, 2.0**128 - 2.0**103, 2.0**128])
+def test_dset_save_rejects_finite_values_beyond_float32(tmp_path, value):
+    # the float32 cast would write infinity, which load_dataset rejects
+    path = tmp_path / "x.dset"
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*beyond float32"):
+        save_dataset(Dataset([[value, 0.5]], [0], [0]), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dset_save_keeps_the_largest_values_that_round_into_float32(tmp_path):
+    edge = np.nextafter(2.0**128 - 2.0**103, 0.0)
+    path = tmp_path / "x.dset"
+    save_dataset(Dataset([[edge, -edge]], [0], [0]), path)
+    top = float(np.finfo(np.float32).max)
+    assert load_dataset(path).features.tolist() == [[top, -top]]
+
+
 def test_unknown_extension_is_a_config_error(tmp_path):
     path = tmp_path / "data.bin"
     with pytest.raises(ConfigError, match="extension"):

@@ -19,6 +19,10 @@ file, run through ``driftkit train``. A mask of the wrong width is a
 ShapeError (exit 2); every case exits 0, 2 or 3, and a failing one names
 the mask file.
 
+Run files (``history.json`` and ``metrics.json``): the same document
+mutations, below, of a trained and evaluated run, run through ``driftkit
+report``. Every case exits 0 or 3, and a failing one names the file.
+
 Run config, drift spec and sweep grid: every value of a valid document
 (sections and lists too) swapped for JSON values drawn from the list
 above and wrapped one level deeper, and every object given an unknown
@@ -353,3 +357,27 @@ def test_sweep_grid_mutations(run, tmp_path, capsys):
     _check(run, target, cases, capsys, codes=(0, 2, 3),
            argv=["sweep", "--config", str(run["config"]), "--grid", str(target),
                  "--out", str(tmp_path / "sweep")])
+
+
+@pytest.fixture
+def evaluated(run, tmp_path):
+    """A run directory with the history.json and metrics.json that a
+    tiny ``train`` and ``eval`` wrote."""
+    out = tmp_path / "evaluated"
+    config = {"out_dir": str(out),
+              "data": {"train": str(run["stream"]), "eval": str(run["stream"])},
+              "model": {"trunk_width": 4, "n_residual_blocks": 0, "head_widths": [2]},
+              "train": {"n_val": 100, "batch_size": 500, "max_epochs": 2}}
+    run["config"].write_text(json.dumps(config))
+    assert main(["train", "--config", str(run["config"])]) == 0
+    assert main(["eval", "--config", str(run["config"])]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name, seed", [("history.json", 2004), ("metrics.json", 2005)])
+def test_run_file_mutations(evaluated, capsys, name, seed):
+    target = evaluated / name
+    doc = json.loads(target.read_text())
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cases = _document_cases(doc, rng, 3)
+    _check(None, target, cases, capsys, argv=["report", "--out", str(evaluated)])

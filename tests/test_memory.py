@@ -18,7 +18,17 @@ from driftkit.data import (
     save_dataset,
     split_recent,
 )
-from driftkit.model import ModelConfig, forward, init_model, load_model, param_count, save_model
+from driftkit.evaluation import evaluate_buckets
+from driftkit.model import (
+    ModelConfig,
+    forward,
+    init_model,
+    load_model,
+    param_count,
+    predict_proba,
+    save_model,
+)
+from driftkit.pfi import PfiConfig, run_pfi
 from driftkit.synthdrift import (
     DRIFT_SHAPES,
     DriftSpec,
@@ -58,7 +68,7 @@ def test_eval_forward_caches_no_pre_activations(blocks):
 
 def _stream_by_vstack(spec):
     """The formulation generate_stream replaced: one new matrix per month,
-    stacked at the end."""
+    stacked at the end, then rounded to float32 as a ``.dset`` save does."""
     info = informative_indices(spec)
     shift_per_dim = (
         spec.drift_magnitude / np.sqrt(spec.n_informative) if spec.drift_magnitude else 0.0
@@ -82,7 +92,8 @@ def _stream_by_vstack(spec):
         feats.append(X)
         labels.append(y)
         stamps.append(_month_timestamps(spec, month))
-    return np.vstack(feats), np.concatenate(labels), np.concatenate(stamps)
+    return (np.vstack(feats).astype(np.float32), np.concatenate(labels),
+            np.concatenate(stamps))
 
 
 @pytest.mark.parametrize("shape", DRIFT_SHAPES)
@@ -97,9 +108,18 @@ def test_generate_stream_equals_per_month_vstack(shape):
 
 
 def test_generate_stream_holds_one_feature_matrix():
+    """The float32 stream, its labels and timestamps, and one float64 month
+    block. The slack covers the month's shift temporaries, a few float64
+    arrays of samples_per_month x n_informative, and small vectors."""
     spec = DriftSpec(n_months=12, samples_per_month=1000, feature_dim=30, seed=3)
     ds, _, peak = _traced(lambda: generate_stream(spec))
-    assert peak <= 1.2 * ds.features.nbytes
+    assert ds.features.dtype == np.float32
+    arrays = ds.features.nbytes + ds.labels.nbytes + ds.timestamps.nbytes
+    block = 8 * spec.samples_per_month * spec.feature_dim
+    slack = 4 * 8 * spec.samples_per_month * spec.n_informative + 16 * 1024
+    # the float64 stream alone is bigger than the bound
+    assert 2 * ds.features.nbytes > arrays + block + slack
+    assert peak <= arrays + block + slack
 
 
 def test_binary_save_allocates_the_records_once(tmp_path):
@@ -128,7 +148,7 @@ def _load_whole(path):
     dim, count = struct.unpack_from("<IQ", raw, 5)
     rec = np.dtype([("ts", "<i8"), ("label", "u1"), ("feat", "<f4", (dim,))])
     body = np.frombuffer(raw, dtype=rec, count=count, offset=17)
-    return body["feat"].astype(np.float64), body["label"].copy(), body["ts"].copy()
+    return body["feat"].copy(), body["label"].copy(), body["ts"].copy()
 
 
 _DIM = 30
@@ -260,3 +280,41 @@ def test_training_peak_holds_no_idle_gradient_buffer():
     # the buffer this bound leaves out is bigger than the slack
     assert param_bytes > scratch + 512 * 1024
     assert peak <= 4 * param_bytes + val_cache + scratch + 512 * 1024
+
+
+def _wide_stream_and_model():
+    ds = generate_stream(DriftSpec(n_months=12, samples_per_month=400, feature_dim=40,
+                                   drift_month=6))
+    cfg = ModelConfig(input_dim=40, trunk_width=32, n_residual_blocks=1, head_widths=(16,))
+    return ds, init_model(cfg, seed=0)
+
+
+def test_eval_of_a_float32_stream_widens_one_bucket_at_a_time():
+    """evaluate_buckets holds one bucket's float64 widening beyond what
+    predict_proba holds on that bucket already in float64; the slack
+    covers the confusion counts' boolean vectors."""
+    ds, params = _wide_stream_and_model()
+    buckets = bucket_by_month(ds)
+    bucket64 = max((b for _, b in buckets), key=len).features.astype(np.float64)
+    _, _, scoring = _traced(lambda: predict_proba(params, bucket64))
+    _, _, peak = _traced(lambda: evaluate_buckets(params, buckets))
+    bound = bucket64.nbytes + scoring + 32 * 1024
+    # widening the whole stream at once would not fit
+    assert 8 * ds.features.size > bound
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pfi_holds_one_float64_working_copy(dtype):
+    """run_pfi holds one float64 copy of its matrix beyond what
+    predict_proba holds on it; the slack covers the permuted column, its
+    saved original and the permutation."""
+    ds, params = _wide_stream_and_model()
+    X, y = ds.features[:1500].astype(dtype), ds.labels[:1500]
+    X64 = X.astype(np.float64)
+    _, _, scoring = _traced(lambda: predict_proba(params, X64))
+    cfg = PfiConfig(n_repeats=1, keep_threshold=-1.0)
+    _, _, peak = _traced(lambda: run_pfi(params, X, y, cfg))
+    slack = 4 * 8 * len(X) + 32 * 1024
+    assert X64.nbytes > slack
+    assert peak <= X64.nbytes + scoring + slack
