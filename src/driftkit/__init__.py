@@ -5,7 +5,7 @@ The pieces, bottom up:
 
   kernels     the numeric core: seeded RNG, matmul, dropout masks and
               the hot elementwise loops (sigmoid, loss, AdamW)
-  data        datasets, loaders (csv / jsonl / binary), splits, buckets
+  data        datasets, loaders (csv / binary), splits, buckets
   losses      weighted cross-entropy with miss/false-alarm penalties and
               a logit-magnitude penalty
   model       residual MLP with hand-derived backprop and AdamW

@@ -65,6 +65,17 @@ def _load_run_config(args) -> RunConfig:
     return RunConfig.from_file(args.config).with_overrides(seed=args.seed, out_dir=args.out)
 
 
+@contextmanager
+def _naming_config(args):
+    """A ConfigError raised in the block, found after the run config was
+    read (a missing data path, an n_val beyond the data), names that file.
+    The path stays out of the resolved config, so no hash moves."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+
+
 def _stamp(cfg: RunConfig) -> str:
     """The run stamp as the ``# ...`` comment line of a CSV artifact."""
     return " ".join(f"{key}={value}" for key, value in cfg.stamp.items())
@@ -128,7 +139,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"{args.config}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ds = generate_stream(spec)
+    with _naming_config(args):
+        ds = generate_stream(spec)
     save_dataset(ds, out / "stream.dset")
     write_json(out / "truth.json", concept_truth(spec))
     _wrote(out / "stream.dset")
@@ -162,7 +174,8 @@ def _run_train(cfg: RunConfig) -> "TrainHistory":
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    _run_train(cfg)
+    with _naming_config(args):
+        _run_train(cfg)
     out = Path(cfg.out_dir)
     for name in ("model.dnet", "history.json", "config.json"):
         _wrote(out / name)
@@ -172,7 +185,8 @@ def cmd_train(args) -> int:
 def cmd_pfi(args) -> int:
     cfg = _load_run_config(args)
     model = load_model(_model_path(cfg))
-    ds = _load_masked_input(cfg, model, "pfi")
+    with _naming_config(args):
+        ds = _load_masked_input(cfg, model, "pfi")
     out = _out_dir(cfg)
     try:
         mask, report = run_pfi(model.params, ds.features, ds.labels, cfg.pfi_config())
@@ -210,7 +224,8 @@ def _run_eval(cfg: RunConfig) -> dict:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    drift = _run_eval(cfg)["drift"]
+    with _naming_config(args):
+        drift = _run_eval(cfg)["drift"]
     out = Path(cfg.out_dir)
     _wrote(out / "metrics.csv")
     _wrote(out / "metrics.json")
@@ -287,9 +302,10 @@ def cmd_sweep(args) -> int:
     base_out = _out_dir(cfg)
     rows = []
     for name, cell_cfg in cells:
-        history = _run_train(cell_cfg)
+        with _naming_config(args):
+            history = _run_train(cell_cfg)
+            metrics = _run_eval(cell_cfg) if cfg.data_path("eval") else {}
         loss = cell_cfg.loss_config()
-        metrics = _run_eval(cell_cfg) if cfg.data_path("eval") else {}
         rows.append([name, loss.lam, loss.p_fn, loss.p_fp, cell_cfg.config_hash,
                      history.best_epoch, history.best_score, *_eval_columns(metrics)])
         print(f"cell {name}: best_score={history.best_score:.4f}")

@@ -12,7 +12,6 @@ features; they exist to support chronological splits and bucketing.
 On-disk formats
 ---------------
 CSV     header ``timestamp,label,f0,...,f{d-1}``; integer seconds, 0/1 label.
-JSONL   one object per line: ``{"ts": int, "label": 0|1, "features": [...]}``.
 Binary  magic ``DSET``, version byte 1, then little-endian u32 feature_dim
         (>= 1), u64 sample_count, and per sample: i64 timestamp, u8 label,
         feature_dim float32 values, loaded as a float32 matrix. Records
@@ -24,13 +23,12 @@ Mask    JSON ``{"original_dim": int, "kept_indices": [int, ...]}``; extra
 
 Features keep float32 when they come as float32 (``.dset`` files, the
 synthetic generator), so a stream is held once, at file precision; any
-other input, CSV and JSONL included, becomes float64. The model widens
+other input, CSV included, becomes float64. The model widens
 its input to float64 one batch or block at a time, and that widening is
 exact, so both precisions of the same values give the same bits.
 
-Integer fields read from JSON (``ts``, ``label``, the mask's indices and
-``original_dim``) must be JSON integers: a float, string or boolean is
-rejected, never truncated.
+The mask's indices and ``original_dim`` must be JSON integers: a float,
+string or boolean is rejected, never truncated.
 
 Every file the package writes goes through ``atomic_open``: it is written
 under a temporary name in the target's directory and renamed over the
@@ -272,40 +270,6 @@ def _load_csv(path: Path) -> Dataset:
     return _read_dataset(path, feats, labels, stamps)
 
 
-def _load_jsonl(path: Path) -> Dataset:
-    ts_list, lab_list, feat_list = [], [], []
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ts, label, feats = obj["ts"], obj["label"], obj["features"]
-            # ValueError: invalid JSON, or an integer over Python's digit limit
-            except (ValueError, KeyError, TypeError) as e:
-                raise ParseError(f"{path}: {e}", row=lineno) from None
-            if not (_json_int(ts) and _json_int(label)):
-                raise ParseError(f"{path}: ts and label must be integers", row=lineno)
-            ts_list.append(ts)
-            lab_list.append(label)
-            if not isinstance(feats, list) or not all(
-                isinstance(v, (int, float)) for v in feats
-            ):
-                raise ParseError(f"{path}: features must be a list of numbers", row=lineno)
-            if width is None:
-                width = len(feats)
-            elif len(feats) != width:
-                raise ShapeError(
-                    f"{path} row {lineno}: expected {width} features, got {len(feats)}"
-                )
-            feat_list.append(feats)
-    if not feat_list:
-        raise DataError(f"{path}: empty dataset file")
-    return _read_dataset(path, feat_list, lab_list, ts_list)
-
-
 def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("ts", "<i8"), ("label", "u1"), ("feat", "<f4", (dim,))])
 
@@ -349,7 +313,7 @@ def _load_binary(path: Path) -> Dataset:
     return _read_dataset(path, *out)
 
 
-_LOADERS = {".csv": _load_csv, ".jsonl": _load_jsonl, ".dset": _load_binary}
+_LOADERS = {".csv": _load_csv, ".dset": _load_binary}
 
 
 def _extension(path: Path) -> str:
@@ -361,9 +325,9 @@ def _extension(path: Path) -> str:
 
 
 def load_dataset(path) -> Dataset:
-    """Load a dataset file (csv, jsonl, or binary ``.dset``, by extension).
-    A missing path or a directory raises DataError; text formats must be
-    UTF-8, other bytes raise ParseError."""
+    """Load a dataset file (csv or binary ``.dset``, by extension).
+    A missing path or a directory raises DataError; CSV must be UTF-8,
+    other bytes raise ParseError."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
@@ -383,19 +347,6 @@ def save_dataset(ds: Dataset, path) -> None:
             for i in range(len(ds))
         )
         write_csv(path, header, rows)
-    elif ext == ".jsonl":
-        with atomic_open(path) as fh:
-            for i in range(len(ds)):
-                fh.write(
-                    json.dumps(
-                        {
-                            "ts": int(ds.timestamps[i]),
-                            "label": int(ds.labels[i]),
-                            "features": [float(v) for v in ds.features[i]],
-                        }
-                    )
-                    + "\n"
-                )
     else:
         f = ds.features  # checked first: the float32 cast would write infinity
         if f.dtype != np.float32 and f.size and max(-f.min(), f.max()) >= _F32_OVERFLOW:

@@ -66,6 +66,8 @@ class ModelConfig:
         if any(w < 1 for w in widths):
             raise ConfigError("head widths must be >= 1")
         object.__setattr__(self, "head_widths", tuple(int(w) for w in widths))
+        if 8 * param_count(self) > np.iinfo(np.intp).max:
+            raise _too_large(self, "more than numpy can address")
 
 
 def layer_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
@@ -92,7 +94,23 @@ def _is_weight(name: str) -> bool:
 
 
 def param_count(cfg: ModelConfig) -> int:
-    return sum(math.prod(shape) for _, shape in layer_shapes(cfg))
+    """The summed sizes of ``layer_shapes``, in closed form, so that a
+    huge ``n_residual_blocks`` is counted without a loop over blocks."""
+    w = prev = cfg.trunk_width
+    n = (cfg.input_dim + 1) * w + cfg.n_residual_blocks * 2 * (w + 1) * w
+    for hw in cfg.head_widths:
+        n += (prev + 1) * hw
+        prev = hw
+    return n + prev + 1
+
+
+def _too_large(cfg: ModelConfig, why: str) -> ConfigError:
+    n = param_count(cfg)
+    return ConfigError(
+        f"input_dim {cfg.input_dim}, trunk_width {cfg.trunk_width}, {cfg.n_residual_blocks} "
+        f"residual blocks and head_widths {list(cfg.head_widths)} make {n} parameters, "
+        f"{8 * n} bytes of float64: {why}"
+    )
 
 
 def tensor_views(cfg: ModelConfig, flat: np.ndarray) -> dict:
@@ -135,30 +153,18 @@ class ModelParams:
         self.flat = flat
         self.tensors = tensor_views(cfg, flat)
 
-    @classmethod
-    def from_tensors(cls, cfg: ModelConfig, tensors: dict) -> "ModelParams":
-        """Pack a name -> array dict into a new flat buffer."""
-        params = cls(cfg, np.empty(param_count(cfg)))
-        for name, view in params.tensors.items():
-            if name not in tensors:
-                raise ShapeError(f"missing tensor {name}")
-            t = np.asarray(tensors[name], dtype=np.float64)
-            if t.shape != view.shape:
-                raise ShapeError(f"{name}: shape {t.shape} != expected {view.shape}")
-            view[...] = t
-        return params
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, self.flat.copy())
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
 
 
 def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
     """He-uniform weights (variance 2/fan_in), zero biases, seed-determined."""
     rng = make_rng(seed)
-    params = ModelParams(cfg, np.zeros(param_count(cfg)))
+    try:
+        flat = np.zeros(param_count(cfg))
+    except MemoryError:
+        raise _too_large(cfg, "more than this machine can allocate") from None
+    params = ModelParams(cfg, flat)
     for name, t in params.tensors.items():
         if _is_weight(name):
             limit = np.sqrt(6.0 / t.shape[0])
@@ -397,12 +403,12 @@ def adamw_step(params: ModelParams, grads, state: OptimizerState) -> None:
 
         p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p
 
-    ``grads`` is a gradient buffer from ``backward`` or a name -> array
-    dict. The whole model is updated in one kernel call.
+    ``grads`` is a gradient buffer (a ModelParams, as ``backward`` fills).
+    The whole model is updated in one kernel call.
     """
-    if not isinstance(grads, ModelParams):
-        grads = ModelParams.from_tensors(params.cfg, grads)
     p = params.flat
+    if not isinstance(grads, ModelParams):
+        raise ShapeError(f"gradients must be a ModelParams buffer, got {type(grads).__name__}")
     if grads.flat.shape != p.shape or state.m.shape != p.shape or state.v.shape != p.shape:
         raise ShapeError("gradients or optimizer moments do not match the parameters")
     state.t += 1
@@ -436,7 +442,7 @@ def save_model(
         "config": asdict(params.cfg),
         "mask": mask.to_dict() if mask is not None else None,
         "meta": meta or {},
-        "layers": params.names(),
+        "layers": list(params.tensors),
         "optimizer": None,
     }
     header_bytes = json.dumps(header).encode("utf-8")

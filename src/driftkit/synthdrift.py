@@ -78,6 +78,8 @@ class DriftSpec:
             raise ConfigError("n_months and samples_per_month must be >= 1")
         if not 1 <= self.n_informative <= self.feature_dim:
             raise ConfigError("need 1 <= n_informative <= feature_dim")
+        if 4 * self.n_months * self.samples_per_month * self.feature_dim > np.iinfo(np.intp).max:
+            raise _too_large(self, "more than numpy can address")
         if not 0 <= self.drift_month < self.n_months:
             raise ConfigError("drift_month must lie in [0, n_months)")
         if self.drift_magnitude < 0:
@@ -102,6 +104,14 @@ class DriftSpec:
         if unknown:
             raise ConfigError(f"unknown drift spec keys: {sorted(unknown)}")
         return cls(**d)
+
+
+def _too_large(spec: DriftSpec, why: str) -> ConfigError:
+    n = spec.n_months * spec.samples_per_month * spec.feature_dim
+    return ConfigError(
+        f"n_months {spec.n_months} x samples_per_month {spec.samples_per_month} x "
+        f"feature_dim {spec.feature_dim} make {n} float32 features, {4 * n} bytes: {why}"
+    )
 
 
 def _first_month(s: str) -> int:
@@ -160,10 +170,13 @@ def generate_stream(spec: DriftSpec) -> Dataset:
     )
     n = spec.samples_per_month
     rows = spec.n_months * n
-    feats = np.empty((rows, spec.feature_dim), dtype=np.float32)
-    labels = np.empty(rows, dtype=np.uint8)
-    stamps = np.empty(rows, dtype=np.int64)
-    block = np.empty((n, spec.feature_dim))
+    try:
+        feats = np.empty((rows, spec.feature_dim), dtype=np.float32)
+        labels = np.empty(rows, dtype=np.uint8)
+        stamps = np.empty(rows, dtype=np.int64)
+        block = np.empty((n, spec.feature_dim))
+    except MemoryError:
+        raise _too_large(spec, "more than this machine can allocate") from None
     for month in range(spec.n_months):
         part = slice(month * n, (month + 1) * n)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, month))))

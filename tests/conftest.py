@@ -1,8 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from driftkit.data import Dataset
-from driftkit.model import ModelConfig, init_model
+# one BLAS thread for the whole suite, set before numpy loads (it reads
+# these once): a threaded BLAS beside another busy process slows sharply
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from driftkit.data import Dataset  # noqa: E402
+from driftkit.model import ModelConfig, init_model  # noqa: E402
 
 
 def make_dataset(n=40, dim=4, seed=0, separation=2.0, start_ts=1_600_000_000):

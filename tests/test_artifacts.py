@@ -109,7 +109,6 @@ ARTIFACTS = {
     "model.dnet": write_model,
     "stream.dset": write_dataset(".dset"),
     "stream.csv": write_dataset(".csv"),
-    "stream.jsonl": write_dataset(".jsonl"),
     "mask.json": run_cli("mask.json", ["train", "pfi"]),
     "history.json": run_cli("history.json", ["train"]),
     "metrics.json": run_cli("metrics.json", ["train", "eval"]),

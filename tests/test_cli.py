@@ -233,6 +233,51 @@ def test_train_requires_data(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 3
 
 
+def test_config_errors_found_after_reading_name_the_file(workdir, tmp_path, capsys):
+    """Errors found once the data is read name the run config too."""
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"out_dir": str(tmp_path / "o")}))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}: data.train is required for this command" in err
+
+    cfg = dict(workdir["cfg"], out_dir=str(tmp_path / "o"))
+    cfg["train"] = dict(cfg["train"], n_val=50000)
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}: n_val 50000 must be < dataset size 600" in err
+    assert not (tmp_path / "o" / "model.dnet").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"trunk_width": 2**40}, {"n_residual_blocks": 2**62}, {"head_widths": [2**40]},
+])
+def test_huge_model_size_exits_2_naming_the_file(workdir, tmp_path, capsys, setting):
+    """Sizes numpy refuses before it allocates: checked at config time,
+    or, for 2**40 head units (4.5 PB), a refused allocation."""
+    cfg = dict(workdir["cfg"], out_dir=str(tmp_path / "o"))
+    cfg["model"] = dict(cfg["model"], **setting)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert str(p) in err and "bytes of float64" in err
+    assert not (tmp_path / "o" / "model.dnet").exists()
+
+
+def test_huge_stream_size_exits_2_naming_the_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    # spec-time check, then a 1.6 PB stream numpy refuses to allocate
+    for setting in ({"samples_per_month": 2**40, "feature_dim": 2**40},
+                    {"samples_per_month": 2**40}):
+        spec.write_text(json.dumps({**DRIFT_SPEC, **setting}))
+        assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert str(spec) in err and "samples_per_month 1099511627776" in err
+    assert not (tmp_path / "s" / "stream.dset").exists()
+
+
 def test_eval_without_model(workdir, tmp_path, capsys):
     cfg = dict(workdir["cfg"])
     cfg["out_dir"] = str(tmp_path / "empty")
@@ -251,6 +296,18 @@ def test_malformed_dataset(workdir, tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(p)]) == 3
+
+
+def test_jsonl_dataset_is_an_unknown_format(tmp_path, capsys):
+    """JSONL is not a dataset format: its extension is a config error."""
+    rows = tmp_path / "x.jsonl"
+    rows.write_text('{"ts": 1609459200, "label": 0, "features": [0.0]}\n')
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"out_dir": str(tmp_path / "o"), "data": {"train": str(rows)}}))
+    assert main(["train", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot infer format" in err and str(rows) in err
+    assert not (tmp_path / "o" / "model.dnet").exists()
 
 
 @pytest.mark.parametrize("dim", [0, 2**31, 2**32 - 1, (2**31 - 1 - 9) // 4 + 1])
@@ -405,17 +462,6 @@ def test_train_rejects_bad_hyperparameter_at_config_time(
     assert not (tmp_path / "o" / "model.dnet").exists()
 
 
-def _jsonl_train(bad_row):
-    """data.train is a JSONL file whose third row is ``bad_row``."""
-    def setup(cfg, tmp_path):
-        good = {"ts": 1_609_459_200, "label": 0, "features": [0.0] * 6}
-        path = tmp_path / "rows.jsonl"
-        path.write_text("\n".join(json.dumps(r) for r in (good, good, bad_row)) + "\n")
-        cfg["data"]["train"] = str(path)
-        return path
-    return setup
-
-
 def _csv_train(bad_row):
     """data.train is a CSV file whose third row is ``bad_row``."""
     def setup(cfg, tmp_path):
@@ -450,28 +496,12 @@ def _eval_stream_with_timestamp(ts):
 
 
 @pytest.mark.parametrize("command, setup, message", [
-    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 1, "features": 5}), "row 3: "),
-    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 1, "features": [0.0] * 5 + ["x"]}),
-     "row 3: "),
     ("train", _mask_file([0, 1]), "not a JSON object"),
     ("eval", _eval_stream_with_timestamp(253_402_300_800),
      "timestamp 253402300800 lies outside the years 1-9999"),
     ("train", _csv_train("1609459200,-1," + ",".join(["0.0"] * 6)), "labels must be 0 or 1"),
     ("train", _csv_train("99999999999999999999,1," + ",".join(["0.0"] * 6)),
      "timestamps must be integers within int64"),
-    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 256, "features": [0.0] * 6}),
-     "labels must be 0 or 1"),
-    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 1, "features": [0.0] * 5 + [10**400]}),
-     "feature values must be finite"),
-    ("train", _jsonl_train({"ts": float("inf"), "label": 1, "features": [0.0] * 6}), "row 3: "),
-    ("train", _jsonl_train({"ts": 1_609_459_200, "label": 0.7, "features": [0.0] * 6}),
-     "row 3: "),
-    ("train", _jsonl_train({"ts": 1_609_459_200, "label": "1", "features": [0.0] * 6}),
-     "ts and label must be integers"),
-    ("train", _jsonl_train({"ts": 1_609_459_200, "label": True, "features": [0.0] * 6}),
-     "ts and label must be integers"),
-    ("train", _jsonl_train({"ts": 1_609_459_200.9, "label": 1, "features": [0.0] * 6}),
-     "ts and label must be integers"),
     ("train", _mask_file({"original_dim": 6, "kept_indices": [float("inf")]}),
      "kept_indices must be a list of integers"),
     ("train", _mask_file({"original_dim": 6, "kept_indices": "12"}),
@@ -483,10 +513,7 @@ def _eval_stream_with_timestamp(ts):
     ("train", _mask_file({"original_dim": 6.9, "kept_indices": [0, 1]}),
      "original_dim must be an integer"),
     ("train", _mask_file({"original_dim": 6, "kept_indices": []}), "at least one index"),
-], ids=["jsonl-scalar-features", "jsonl-string-feature", "mask-list", "eval-year-10000",
-        "csv-label-minus-1", "csv-timestamp-beyond-int64", "jsonl-label-256",
-        "jsonl-feature-beyond-float64", "jsonl-infinite-timestamp", "jsonl-float-label",
-        "jsonl-string-label", "jsonl-bool-label", "jsonl-float-timestamp",
+], ids=["mask-list", "eval-year-10000", "csv-label-minus-1", "csv-timestamp-beyond-int64",
         "mask-infinite-index", "mask-string-indices", "mask-float-index", "mask-bool-index",
         "mask-float-dim", "mask-empty"])
 def test_malformed_input_exits_3_naming_it(workdir, tmp_path, capsys, command, setup, message):
@@ -585,13 +612,13 @@ def _non_utf8(command, role):
     """``command`` with the input ``role`` replaced by non-UTF-8 bytes."""
     def setup(workdir, tmp_path):
         bad = tmp_path / {"spec": "spec.json", "config": "run.json", "grid": "grid.json",
-                          "mask": "mask.json", "csv": "rows.csv", "jsonl": "rows.jsonl",
+                          "mask": "mask.json", "csv": "rows.csv",
                           "history": "runs/a/history.json"}[role]
         bad.parent.mkdir(parents=True, exist_ok=True)
         bad.write_bytes(b"\xff\xfe{}")
         cfg = json.loads(json.dumps(workdir["cfg"]))
         cfg["out_dir"] = str(tmp_path / "o")
-        if role in ("csv", "jsonl"):
+        if role == "csv":
             cfg["data"]["train"] = str(bad)
         elif role == "mask":
             cfg["data"]["mask"] = str(bad)
@@ -613,8 +640,7 @@ def _non_utf8(command, role):
     (_non_utf8("train", "mask"), 3),
     (_non_utf8("report", "history"), 3),
     (_non_utf8("train", "csv"), 3),
-    (_non_utf8("train", "jsonl"), 3),
-], ids=["drift-spec", "run-config", "sweep-grid", "mask", "report-run-file", "csv", "jsonl"])
+], ids=["drift-spec", "run-config", "sweep-grid", "mask", "report-run-file", "csv"])
 def test_non_utf8_input_fails_cleanly_naming_it(workdir, tmp_path, capsys, setup, code):
     argv, bad = setup(workdir, tmp_path)
     assert main(argv) == code

@@ -140,17 +140,15 @@ def test_report_csv_and_json(tmp_path):
 
 def saturated_params():
     """Model whose prediction is driven by feature 0's sign."""
-    from driftkit.model import ModelConfig, ModelParams
+    from driftkit.model import ModelConfig, ModelParams, param_count
 
     cfg = ModelConfig(input_dim=2, trunk_width=2, n_residual_blocks=0,
                       dropout_rate=0.0, head_widths=())
     # relu pair encodes identity of feature 0: h = [relu(x0), relu(-x0)]
-    return ModelParams.from_tensors(cfg, {
-        "entry.W": np.array([[30.0, -30.0], [0.0, 0.0]]),
-        "entry.b": np.zeros(2),
-        "out.W": np.array([[1.0], [-1.0]]),
-        "out.b": np.zeros(1),
-    })
+    params = ModelParams(cfg, np.zeros(param_count(cfg)))
+    params.tensors["entry.W"][0] = [30.0, -30.0]
+    params.tensors["out.W"][:, 0] = [1.0, -1.0]
+    return params
 
 
 def labeled_months(spec):

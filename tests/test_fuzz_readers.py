@@ -7,12 +7,12 @@ process on it. Every case must exit 0, or exit 3 with a message naming the
 mutated file; any other exception is a reader bug. The ``.dset`` chunk is
 shrunk so a small file spans several chunks.
 
-Text readers (``.csv`` and ``.jsonl``): the same harness, with text
-mutations drawn from PCG64 (truncation, byte flips, swapped JSON types,
-NaN, huge and negative integers, wrong nesting). A row-width or header
-fault is a ShapeError (exit 2); so every case exits 0, 2 or 3, and a
-failing one names the file: by its path, or, for a timestamp past the
-year 9999, by the dataset name the loader takes from it (its stem).
+Text reader (``.csv``): the same harness, with text mutations drawn
+from PCG64 (truncation, byte flips, NaN, huge and negative integers,
+non-numbers, short rows, quotes). A row-width or header fault is a
+ShapeError (exit 2); so every case exits 0, 2 or 3, and a failing one
+names the file: by its path, or, for a timestamp past the year 9999, by
+the dataset name the loader takes from it (its stem).
 
 Feature mask (``data.mask``): the same text mutations of a mask JSON
 file, run through ``driftkit train``. A mask of the wrong width is a
@@ -29,9 +29,10 @@ above and wrapped one level deeper, and every object given an unknown
 key, plus seeded truncations and byte flips; run through ``eval``,
 ``synth`` and ``sweep``. Every case exits 0, 2 or 3, and a failing one names the file.
 The config's ``data`` paths are left alone, since another path is
-another file, whose own reader names it. A size the spec's generator
-cannot allocate (``samples_per_month`` of 2**40, say) is valid but out
-of scope; ROADMAP.md records it.
+another file, whose own reader names it. Huge spec sizes are left out
+too: one the generator cannot allocate is a ConfigError, but a smaller
+one could really allocate; ``tests/test_synthdrift.py`` covers both
+with sizes refused before any allocation.
 """
 
 import copy
@@ -150,9 +151,9 @@ _JSON_VALUES = ["null", "true", "false", '"1"', '""', "[]", "{}", "[[0.5]]", '{"
                 "9223372036854775808", "-9223372036854775809", "1" + "0" * 400]
 
 
-def _text_stream(run, tmp_path, suffix):
-    """Every tenth row of the fuzz stream as ``suffix`` text; eval reads it."""
-    target = tmp_path / f"fuzzed{suffix}"
+def _text_stream(run, tmp_path):
+    """Every tenth row of the fuzz stream as CSV text; eval reads it."""
+    target = tmp_path / "fuzzed.csv"
     save_dataset(data.load_dataset(run["stream"]).subset(slice(None, None, 10)), target)
     cfg = json.loads(run["config"].read_text())
     cfg["data"]["eval"] = str(target)
@@ -166,7 +167,7 @@ def _byte_cases(raw, rng, n):
 
 
 def test_csv_reader_mutations(run, tmp_path, capsys):
-    target = _text_stream(run, tmp_path, ".csv")
+    target = _text_stream(run, tmp_path)
     raw = target.read_bytes()
     rows = [line.split(",") for line in raw.decode().splitlines()]
     rng = np.random.Generator(np.random.PCG64(1703))
@@ -185,37 +186,6 @@ def test_csv_reader_mutations(run, tmp_path, capsys):
                        ("quote", raw.decode().replace(",", ',"', 1)),
                        ("nul", raw.decode().replace(",", "\0", 3))]:
         cases.append((name, text.encode()))
-    cases.append(("valid", raw))
-    _check(run, target, cases, capsys, codes=(0, 2, 3), named=target.stem)
-
-
-def _swap(lines, i, line):
-    """The lines with line ``i`` replaced, as file bytes."""
-    return ("\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n").encode()
-
-
-def test_jsonl_reader_mutations(run, tmp_path, capsys):
-    target = _text_stream(run, tmp_path, ".jsonl")
-    raw = target.read_bytes()
-    lines = raw.decode().splitlines()
-    rng = np.random.Generator(np.random.PCG64(1704))
-    cases = _byte_cases(raw, rng, 25)
-    for value in _JSON_VALUES:
-        i = int(rng.integers(0, len(lines)))
-        obj = json.loads(lines[i])
-        for key in ("ts", "label", "features"):
-            line = json.dumps({**obj, key: "@"}).replace('"@"', value)
-            cases.append((f"line{i}.{key}={value[:24]}", _swap(lines, i, line)))
-        # one feature replaced: swapped type, NaN, huge number, nesting
-        k = int(rng.integers(0, len(obj["features"])))
-        feats = json.dumps(obj["features"][:k] + ["@"] + obj["features"][k + 1:])
-        line = json.dumps({**obj, "features": "#"}).replace('"#"', feats.replace('"@"', value))
-        cases.append((f"line{i}.features[{k}]={value[:24]}", _swap(lines, i, line)))
-    i = int(rng.integers(0, len(lines)))
-    for name, line in [("list", f"[{lines[i]}]"), ("nested", f'{{"row": {lines[i]}}}'),
-                       ("missing-key", json.dumps({"ts": 1, "label": 0})),
-                       ("scalar", "7"), ("string", '"row"'), ("open", lines[i][:-1])]:
-        cases.append((name, _swap(lines, i, line)))
     cases.append(("valid", raw))
     _check(run, target, cases, capsys, codes=(0, 2, 3), named=target.stem)
 
@@ -323,7 +293,7 @@ def test_run_config_mutations(run, tmp_path, capsys):
            argv=["eval", "--config", str(target), "--out", str(run["model"].parent)])
 
 
-# the drift spec's sizes: a value numpy cannot allocate is out of scope
+# the drift spec's sizes: a huge value could really allocate, so none is drawn
 _SPEC_SIZES = {"n_months", "samples_per_month", "feature_dim"}
 
 

@@ -21,6 +21,7 @@ from driftkit.model import (
     init_optimizer,
     layer_shapes,
     load_model,
+    param_count,
     predict_logits,
     predict_proba,
     save_model,
@@ -83,6 +84,44 @@ def test_model_config_validation():
         ModelConfig(input_dim=3, head_widths=(True,))
 
 
+def test_param_count_is_the_sum_of_the_layer_shapes():
+    for blocks in (0, 1, 3):
+        for heads in ((), (5,), (7, 2)):
+            cfg = ModelConfig(input_dim=3, trunk_width=4, n_residual_blocks=blocks,
+                              head_widths=heads)
+            assert param_count(cfg) == sum(int(np.prod(s)) for _, s in layer_shapes(cfg))
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("trunk_width", 2**40, "trunk_width 1099511627776"),
+    ("n_residual_blocks", 2**62, "4611686018427387904 residual blocks"),
+    ("head_widths", (2**62,), r"head_widths \[4611686018427387904\]"),
+])
+def test_model_config_rejects_a_model_numpy_cannot_address(field, value, named):
+    """Checked at config time, in closed form: nothing is allocated."""
+    with pytest.raises(ConfigError, match=f"{named}.*bytes of float64: more than numpy can address"):
+        ModelConfig(**{"input_dim": 3, field: value})
+
+
+def test_init_model_reports_a_failed_allocation(monkeypatch):
+    # 2**40 head units need 4.5 PB, which numpy refuses without allocating
+    with pytest.raises(ConfigError, match=r"head_widths \[1099511627776\].*"
+                                          "more than this machine can allocate"):
+        init_model(ModelConfig(input_dim=3, head_widths=(2**40,)), seed=0)
+
+    # a parameter vector this machine cannot hold, mocked at a tiny size
+    cfg = tiny_model().cfg
+    zeros = np.zeros
+
+    def refuse(shape, *args, **kwargs):
+        if shape == param_count(cfg):
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(ConfigError, match="trunk_width 8, 1 residual blocks"):
+        init_model(cfg, seed=0)
+
+
 @pytest.mark.parametrize("field, value", [
     ("input_dim", 3.0), ("input_dim", True), ("input_dim", "3"),
     ("trunk_width", 8.7), ("trunk_width", False),
@@ -135,9 +174,9 @@ def test_init_deterministic_by_seed():
     a = init_model(cfg, seed=7)
     b = init_model(cfg, seed=7)
     c = init_model(cfg, seed=8)
-    for name in a.names():
+    for name in a.tensors:
         assert np.array_equal(a.tensors[name], b.tensors[name])
-    assert any(not np.array_equal(a.tensors[n], c.tensors[n]) for n in a.names())
+    assert any(not np.array_equal(a.tensors[n], c.tensors[n]) for n in a.tensors)
 
 
 def test_forward_matches_reference_implementation():
@@ -156,16 +195,33 @@ def test_forward_single_linear_path_hand_computed():
     # 1 input, trunk 1, no blocks/heads: z = relu(x*w + b)*w_out + b_out
     cfg = ModelConfig(input_dim=1, trunk_width=1, n_residual_blocks=0,
                       dropout_rate=0.0, head_widths=())
-    params = ModelParams.from_tensors(cfg, {
-        "entry.W": np.array([[2.0]]),
-        "entry.b": np.array([0.5]),
-        "out.W": np.array([[-3.0]]),
-        "out.b": np.array([1.0]),
-    })
+    params = ModelParams(cfg, np.empty(param_count(cfg)))
+    t = params.tensors
+    t["entry.W"][...] = 2.0
+    t["entry.b"][...] = 0.5
+    t["out.W"][...] = -3.0
+    t["out.b"][...] = 1.0
     X = np.array([[1.0], [-1.0]])
     z, _ = forward(params, X)
     # x=1: relu(2.5)*-3 + 1 = -6.5 ; x=-1: relu(-1.5)=0 -> 1.0
     assert z.tolist() == [-6.5, 1.0]
+
+
+def test_relu_and_grad():
+    # a one-layer net whose pre-activations are x shows the ReLU that
+    # forward applies and the gradient that backward takes through it: the
+    # kink at exactly zero takes gradient 0, so finite-difference checks
+    # must avoid evaluating there
+    x = np.array([[-2.0, -0.0, 0.0, 3.5]])
+    cfg = ModelConfig(input_dim=1, trunk_width=4, n_residual_blocks=0,
+                      dropout_rate=0.0, head_widths=())
+    params = ModelParams(cfg, np.zeros(param_count(cfg)))
+    params.tensors["entry.b"][...] = x[0]
+    params.tensors["out.W"][...] = -1.0
+    _, cache = forward(params, np.zeros((1, 1)))
+    assert np.array_equal(cache["entry"][0], [[0.0, 0.0, 0.0, 3.5]])
+    grads = backward(params, cache, np.ones(1))
+    assert np.array_equal(grads["entry.b"], [0.0, 0.0, 0.0, -1.0])
 
 
 def test_forward_validates_input():
@@ -257,8 +313,8 @@ def test_backward_matches_finite_differences():
     cfg = LossConfig(variant="drbce", lam=0.1, p_fn=5.0, p_fp=1.0, w1=0.5, w0=0.5)
     z, cache = forward(params, X, mode="eval")
     grads = backward(params, cache, loss_grad(z, y, cfg))
-    assert set(grads) == set(params.names())
-    for name in params.names():
+    assert set(grads) == set(params.tensors)
+    for name in params.tensors:
         fd = numeric_grad(params, X, y, cfg, name)
         err = np.abs(grads[name] - fd) / np.maximum.reduce(
             [np.abs(grads[name]), np.abs(fd), np.full_like(fd, 1e-6)]
@@ -314,7 +370,7 @@ def test_backward_leaves_the_forward_cache_intact():
     first = {n: g.copy() for n, g in backward(params, cache, z).items()}
     assert all(np.array_equal(a, b) for a, b in zip(_cached_arrays(cache), before))
     second = backward(params, cache, z)
-    assert all(np.array_equal(first[n], second[n]) for n in params.names())
+    assert all(np.array_equal(first[n], second[n]) for n in params.tensors)
 
 
 def test_backward_rejects_foreign_cache():
@@ -386,15 +442,15 @@ def test_adamw_step_matches_reference_and_skips_bias_decay():
     params = tiny_model(input_dim=2, trunk=3, blocks=0, heads=(), seed=1)
     state = init_optimizer(params, lr=0.01, weight_decay=0.1)
     rng = make_rng(3)
-    grads = {n: rng.standard_normal(params.tensors[n].shape) for n in params.names()}
+    grads = ModelParams(params.cfg, rng.standard_normal(params.flat.size))
     before = params.copy()
     adamw_step(params, grads, state)
     assert state.t == 1
     m, v = tensor_views(params.cfg, state.m), tensor_views(params.cfg, state.v)
-    for name in params.names():
+    for name in params.tensors:
         wd = 0.1 if name.rsplit(".", 1)[1].startswith("W") else 0.0
         want_p, want_m, want_v = reference_adamw(
-            before.tensors[name], grads[name],
+            before.tensors[name], grads.tensors[name],
             np.zeros_like(before.tensors[name]), np.zeros_like(before.tensors[name]),
             1, 0.01, 0.9, 0.999, 1e-8, wd,
         )
@@ -406,12 +462,12 @@ def test_adamw_step_matches_reference_and_skips_bias_decay():
 def test_adamw_step_validates_gradients():
     params = tiny_model()
     state = init_optimizer(params, lr=1e-4, weight_decay=1e-4)
-    with pytest.raises(ShapeError):
-        adamw_step(params, {}, state)
-    grads = {n: np.zeros_like(params.tensors[n]) for n in params.names()}
-    grads["entry.W"] = np.zeros((1, 1))
-    with pytest.raises(ShapeError):
-        adamw_step(params, grads, state)
+    # only a gradient buffer of the same topology is taken, never a dict
+    as_dict = {n: np.zeros_like(t) for n, t in params.tensors.items()}
+    for grads in ({}, as_dict, tiny_model(trunk=9)):
+        with pytest.raises(ShapeError):
+            adamw_step(params, grads, state)
+    assert state.t == 0
 
 
 def test_save_load_round_trip(tmp_path):
@@ -424,7 +480,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.params.cfg == params.cfg
     assert loaded.mask == mask
     assert loaded.meta == meta
-    for name in params.names():
+    for name in params.tensors:
         assert np.array_equal(loaded.params.tensors[name], params.tensors[name])
 
 
@@ -471,13 +527,14 @@ def test_backward_writes_into_gradient_buffer():
     fresh = backward(params, cache, z)
     buf = ModelParams(params.cfg, np.full_like(params.flat, np.nan))
     grads = backward(params, cache, z, out=buf)
-    for name in params.names():
+    for name in params.tensors:
         assert np.shares_memory(grads[name], buf.flat)
         assert np.array_equal(grads[name], fresh[name])
+    packed = ModelParams(params.cfg, np.concatenate([g.ravel() for g in fresh.values()]))
     before = params.copy()
     state = init_optimizer(params, lr=0.01, weight_decay=0.1)
     adamw_step(params, buf, state)
-    adamw_step(before, fresh, init_optimizer(before, lr=0.01, weight_decay=0.1))
+    adamw_step(before, packed, init_optimizer(before, lr=0.01, weight_decay=0.1))
     assert np.array_equal(params.flat, before.flat)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from driftkit.data import Dataset
 from driftkit.errors import ConfigError, EmptyMaskError, ShapeError
-from driftkit.model import ModelConfig, ModelParams, init_model, predict_proba
+from driftkit.model import ModelConfig, ModelParams, init_model, param_count, predict_proba
 from driftkit.pfi import (
     PfiConfig,
     column_importance,
@@ -18,12 +18,10 @@ def single_feature_model():
     """Prediction = sign of feature 0; features 1.. are ignored."""
     cfg = ModelConfig(input_dim=3, trunk_width=2, n_residual_blocks=0,
                       dropout_rate=0.0, head_widths=())
-    return ModelParams.from_tensors(cfg, {
-        "entry.W": np.array([[8.0, -8.0], [0.0, 0.0], [0.0, 0.0]]),
-        "entry.b": np.zeros(2),
-        "out.W": np.array([[1.0], [-1.0]]),
-        "out.b": np.zeros(1),
-    })
+    params = ModelParams(cfg, np.zeros(param_count(cfg)))
+    params.tensors["entry.W"][0] = [8.0, -8.0]
+    params.tensors["out.W"][:, 0] = [1.0, -1.0]
+    return params
 
 
 def signal_data(n=60, seed=0):

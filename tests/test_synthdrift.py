@@ -226,3 +226,29 @@ def test_spec_validation():
     for bad in ("2021", "2021-13", "garbage", "2021-00"):
         with pytest.raises(ConfigError):
             DriftSpec(start_month=bad)
+
+
+def test_spec_rejects_a_stream_numpy_cannot_address():
+    # checked when the spec is built, before any allocation
+    with pytest.raises(ConfigError, match="samples_per_month 1099511627776 x feature_dim "
+                                          "1099511627776 .* bytes: more than numpy can address"):
+        DriftSpec(samples_per_month=2**40, feature_dim=2**40)
+
+
+def test_generate_stream_reports_a_failed_allocation(monkeypatch):
+    # 12 x 2**40 x 30 float32 values need 1.6 PB, which numpy refuses
+    # without allocating
+    with pytest.raises(ConfigError, match="samples_per_month 1099511627776 x feature_dim 30 .*"
+                                          "more than this machine can allocate"):
+        generate_stream(DriftSpec(samples_per_month=2**40))
+
+    # a stream this machine cannot hold, mocked at a small size
+    empty = np.empty
+
+    def refuse(shape, dtype=float, *args, **kwargs):
+        if dtype == np.float32:
+            raise MemoryError
+        return empty(shape, dtype, *args, **kwargs)
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(ConfigError, match="n_months 4 x samples_per_month 200 x feature_dim 8"):
+        generate_stream(DriftSpec(**SMALL))
