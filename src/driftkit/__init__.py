@@ -3,8 +3,8 @@ timestamped streams whose input distribution drifts.
 
 The pieces, bottom up:
 
-  kernels     the numeric core: seeded RNG, matmul, dropout masks and
-              the hot elementwise loops (sigmoid, loss, AdamW)
+  kernels     the numeric core: seeded RNG, dropout masks and the hot
+              elementwise loops (sigmoid, loss, AdamW)
   data        datasets, loaders (csv / binary), splits, buckets
   losses      weighted cross-entropy with miss/false-alarm penalties and
               a logit-magnitude penalty

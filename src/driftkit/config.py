@@ -34,12 +34,11 @@ from dataclasses import MISSING, dataclass, fields
 
 from .data import read_json
 from .errors import ConfigError, require_ints
+from .evaluation import ERROR_METRICS
 from .losses import LossConfig
 from .model import ModelConfig
 from .pfi import PfiConfig
 from .training import TrainConfig
-
-ERROR_METRICS = ("err", "fnr")
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,9 @@ _SCHEMA = {
 
 def _coerce(default, value, where: str):
     """Match a user leaf to its default's JSON type so equal configs
-    serialize (and therefore hash) identically, e.g. 5 vs 5.0."""
-    if default is None or value is None:
+    serialize (and therefore hash) identically, e.g. 5 vs 5.0. Only a
+    key whose default is null takes null."""
+    if default is None:
         return value
     if isinstance(default, bool) or isinstance(value, bool):
         raise ConfigError(f"bad type for {where}: {value!r}")
@@ -145,9 +145,6 @@ class RunConfig:
     resolved: dict
 
     def __post_init__(self):
-        dim = self.resolved["model"]["input_dim"]
-        if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
-            raise ConfigError("model.input_dim must be an integer or null")
         # instantiate every typed section eagerly so bad values fail at
         # load time with the section name in the message, not mid-run
         try:
@@ -155,7 +152,7 @@ class RunConfig:
             self.train_config()
             self.pfi_config()
             self.eval_settings()
-            self.model_config(input_dim=dim or 1)
+            self.model_config(input_dim=1)  # ModelConfig checks a set input_dim
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:

@@ -23,6 +23,11 @@ from .data import write_csv
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelParams, predict_proba
 
+# the metrics a model is selected or a feature scored by, and the error
+# series a drift verdict reads
+SCORE_METRICS = ("f1", "accuracy")
+ERROR_METRICS = ("err", "fnr")
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -48,6 +53,10 @@ class Metrics:
     fnr: float | None
     fpr: float | None
 
+    def score(self, metric: str) -> float:
+        """The ``SCORE_METRICS`` entry ``metric``; an undefined F1 counts 0."""
+        return (self.f1 or 0.0) if metric == "f1" else self.acc
+
 
 def confusion(probs, labels, threshold: float = 0.5) -> ConfusionCounts:
     """Count outcomes at the given threshold; predicted positive iff
@@ -69,9 +78,8 @@ def confusion(probs, labels, threshold: float = 0.5) -> ConfusionCounts:
 
 
 def metrics(c: ConfusionCounts) -> Metrics:
-    """Accuracy, F1, FNR, FPR from counts; None where the denominator is 0."""
-    if c.total == 0:
-        raise DataError("cannot compute metrics of an empty confusion")
+    """Accuracy, F1, FNR, FPR from counts; None where the denominator is 0.
+    ``c`` is never empty: every caller scores at least one row."""
     acc = (c.tp + c.tn) / c.total
     f1_den = 2 * c.tp + c.fp + c.fn
     f1 = (2 * c.tp / f1_den) if f1_den > 0 else None
@@ -108,7 +116,7 @@ class MetricsReport:
     threshold: float
 
     def error_series(self, metric: str = "err") -> list:
-        if metric not in ("err", "fnr"):
+        if metric not in ERROR_METRICS:
             raise ConfigError(f"unknown error metric {metric!r}")
         return [getattr(r, metric) for r in self.rows]
 

@@ -1,14 +1,13 @@
-"""The numeric core, in numpy: seeded RNG, matrix product, dropout masks
-and the hot elementwise kernels (sigmoid, loss, AdamW).
+"""The numeric core, in numpy: seeded RNG, dropout masks and the hot
+elementwise kernels (sigmoid, loss, AdamW).
 
 Compute is float64 end to end (gradient-check tolerances depend on it);
 loss kernels take labels as float64 0.0/1.0. Products stay on numpy's
-BLAS; randomness flows through explicit PCG64 generators (``make_rng``).
+BLAS (``np.matmul``, called through ``model.matmul``); randomness flows
+through explicit PCG64 generators (``make_rng``).
 """
 
 import numpy as np
-
-from .errors import ConfigError, ShapeError
 
 
 def backend() -> str:
@@ -16,33 +15,19 @@ def backend() -> str:
     return "numpy"
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 generator. Same seed, same sequence, everywhere."""
+def make_rng(seed) -> np.random.Generator:
+    """Seeded PCG64 generator from an int, a tuple of ints or a SeedSequence.
+    Same seed, same sequence, everywhere."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with explicit inner-dimension checking."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions disagree: {a.shape[0]}x{a.shape[1]} @ "
-            f"{b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
 
-    Scaling happens at mask time, so the eval-mode forward pass needs no
-    compensation. rate=0 returns an all-ones mask without consuming rng state.
+    Scaling happens at mask time, so eval-mode inference needs no
+    compensation. ``rate`` is a validated ``ModelConfig.dropout_rate`` in
+    (0, 1): the one caller draws no mask at rate 0.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape, dtype=np.float64)
     mask = rng.random(shape)
     np.greater_equal(mask, rate, out=mask)
     # the buffer holds 0.0 and 1.0, so multiplying by the rounded

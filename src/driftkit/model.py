@@ -11,7 +11,8 @@ Topology (all widths configurable):
 
 Residual blocks keep the trunk width, so the skip path is a plain
 identity add. Dropout is inverted (scaled at train time) and active only
-in train mode; eval-mode forward is a pure function of (params, X).
+in train mode; eval-mode logits (``predict_logits``) are a pure function
+of (params, X).
 
 Checkpoint format: magic ``DNET``, version byte 1, little-endian u32
 header length, a JSON header (config, optional feature mask, metadata,
@@ -34,7 +35,12 @@ from . import kernels
 from .data import FeatureMask, atomic_open
 from .errors import (ConfigError, DataError, DriftkitError, FormatError, ShapeError,
                      StateError, require_ints)
-from .kernels import dropout_mask, make_rng, matmul
+from .kernels import dropout_mask, make_rng
+
+# every product goes through this module-level name, which a profiler may
+# rebind. No shape check: ``_rows`` checks inputs, ``layer_shapes`` fixes
+# every parameter view and ``backward`` checks ``dz``
+matmul = np.matmul
 
 _MAGIC = b"DNET"
 _VERSION = 1
@@ -231,17 +237,21 @@ def forward(
     """Run the network; returns (logits[batch], cache for backward).
 
     Train mode draws fresh dropout masks from ``rng``, one call for all
-    trunk layers; eval mode is deterministic. The cache, tied to this
-    exact params object, holds X, the masks and each layer's output after
-    its in-place ReLU and dropout, never a pre-activation: entry
-    ``(h, m0)``, residual blocks ``(h_in, u, h, mk)``, heads ``(h_in, h)``.
+    trunk layers. The cache, tied to this exact params object, holds X,
+    the masks and each layer's output after its in-place ReLU and dropout,
+    never a pre-activation: entry ``(h, m0)``, residual blocks
+    ``(h_in, u, h, mk)``, heads ``(h_in, h)``. Eval mode returns
+    ``predict_logits(params, X)`` and an empty cache, which ``backward``
+    refuses.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval":
+        return predict_logits(params, X), {}
     cfg = params.cfg
     X = _rows(cfg, X)
     masks = [None] * (1 + cfg.n_residual_blocks)
-    if mode == "train" and cfg.dropout_rate > 0.0:
+    if cfg.dropout_rate > 0.0:
         if rng is None:
             raise ConfigError("train-mode forward with dropout needs an rng")
         # all trunk masks of the step in one draw; PCG64 fills the doubles
@@ -263,15 +273,15 @@ def backward(
 
     The gradients are written into ``out``, a buffer with the parameters'
     layout (a new one when None), and returned as its name -> view dict.
-    The cache must come from a forward call on this same params object;
-    anything else raises StateError.
+    The cache must come from a train-mode forward call on this same params
+    object; anything else raises StateError.
 
     Each ReLU mask is ``output > 0``: ``max(p, 0) > 0`` holds exactly when
     ``p > 0`` (NaN fails both), and where dropout zeroed an output the
     gradient is already +-0, which either mask keeps.
     """
     if cache.get("params_id") != id(params):
-        raise StateError("cache does not belong to these parameters")
+        raise StateError("cache does not come from a train-mode forward on these parameters")
     dz = np.asarray(dz, dtype=np.float64).ravel()
     n = cache["X"].shape[0]
     if dz.shape != (n,):
@@ -336,11 +346,12 @@ _SMALL_GEMM = 100**3
 
 
 def predict_logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Eval-mode logits, equal bit for bit to ``forward(params, X, "eval")[0]``.
+    """Eval-mode logits, which ``forward``'s eval mode returns: bit for bit
+    those of an unblocked train-mode ``forward`` without dropout.
 
     Builds no cache and walks the rows in blocks of at least
     ``_BLOCK_ROWS``, with biases and ReLUs applied in place. Three rules
-    keep the bits equal to the unblocked ``forward`` on OpenBLAS:
+    keep the bits equal to the unblocked pass on OpenBLAS:
     - the last block absorbs the remainder, so no block is smaller than
       the block size;
     - the block size grows, for narrow layers, until every hidden product
@@ -456,8 +467,6 @@ def _parse_header(header) -> tuple:
     """(config, mask or None, meta) from a DNET header; raises KeyError,
     TypeError, ValueError or a DriftkitError if it is malformed."""
     cfg = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
-    if header["layers"] != [name for name, _ in layer_shapes(cfg)]:
-        raise ValueError("layer list does not match config topology")
     if header.get("optimizer") is not None:
         raise ValueError("optimizer state is not supported")
     mask = FeatureMask.from_dict(header["mask"]) if header.get("mask") else None
@@ -497,6 +506,10 @@ def load_model(path) -> LoadedModel:
         expected = 9 + hlen + 8 * param_count(cfg)
         if size != expected:
             raise FormatError(f"{path}: expected {expected} bytes, got {size}")
+        # only now, as the size bounds the residual blocks layer_shapes walks
+        if header.get("layers") != [name for name, _ in layer_shapes(cfg)]:
+            raise FormatError(
+                f"{path}: malformed header: layer list does not match config topology")
         stored = np.empty(param_count(cfg), dtype="<f8")
         if fh.readinto(stored) != stored.nbytes:
             raise FormatError(f"{path}: expected {expected} bytes, the file shrank while being read")

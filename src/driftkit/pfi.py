@@ -11,8 +11,8 @@ at the default, a feature whose permutation does not hurt the model is
 dropped, since it carries no usable signal. A single repeat reproduces the plain algorithm; more
 repeats average out permutation luck.
 
-Every (feature, repeat) pair derives its own RNG from
-``SeedSequence((seed, feature, repeat))``, so results do not depend on
+Every (feature, repeat) pair derives its own RNG,
+``make_rng((seed, feature, repeat))``, so results do not depend on
 the order in which features are evaluated.
 """
 
@@ -25,10 +25,9 @@ import numpy as np
 
 from .data import FeatureMask, write_csv
 from .errors import ConfigError, DataError, EmptyMaskError, ShapeError, require_ints
-from .evaluation import confusion, metrics
+from .evaluation import SCORE_METRICS, confusion, metrics
+from .kernels import make_rng
 from .model import ModelParams, predict_proba
-
-PFI_METRICS = ("f1", "accuracy")
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class PfiConfig:
 
     def __post_init__(self):
         require_ints(self, "n_repeats", "seed")
-        if self.metric not in PFI_METRICS:
+        if self.metric not in SCORE_METRICS:
             raise ConfigError(f"unknown importance metric {self.metric!r}")
         if self.n_repeats < 1:
             raise ConfigError("n_repeats must be >= 1")
@@ -69,9 +68,7 @@ class PfiReport:
 
 
 def _score(params: ModelParams, X, y, cfg: PfiConfig) -> float:
-    m = metrics(confusion(predict_proba(params, X), y, cfg.threshold))
-    v = m.f1 if cfg.metric == "f1" else m.acc
-    return v if v is not None else 0.0
+    return metrics(confusion(predict_proba(params, X), y, cfg.threshold)).score(cfg.metric)
 
 
 def column_importance(
@@ -84,8 +81,7 @@ def column_importance(
     orig = X_work[:, col].copy()
     total = 0.0
     for rep in range(cfg.n_repeats):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, col, rep))))
-        X_work[:, col] = rng.permutation(orig)
+        X_work[:, col] = make_rng((cfg.seed, col, rep)).permutation(orig)
         total += _score(params, X_work, y, cfg)
     X_work[:, col] = orig
     return e_base - total / cfg.n_repeats
@@ -105,9 +101,8 @@ def run_pfi(
     X_work = np.array(X, dtype=np.float64, order="C")
     if X_work.ndim != 2 or X_work.shape[0] == 0:
         raise DataError("PFI needs a non-empty 2-D evaluation matrix")
+    # a width the model does not take fails in the first scoring
     n, d = X_work.shape
-    if d != params.cfg.input_dim:
-        raise ShapeError(f"matrix has {d} features, model expects {params.cfg.input_dim}")
     y = np.asarray(y)
     if y.shape != (n,):
         raise ShapeError("labels length must match sample count")

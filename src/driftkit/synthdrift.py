@@ -34,6 +34,7 @@ import numpy as np
 
 from .data import FIRST_MONTH, LAST_MONTH, Dataset, month_label
 from .errors import ConfigError, require_ints
+from .kernels import make_rng
 
 DRIFT_SHAPES = ("sudden", "gradual", "incremental", "recurrent")
 
@@ -133,7 +134,7 @@ def _year_month(spec: DriftSpec, month: int) -> tuple[int, int]:
 
 def informative_indices(spec: DriftSpec) -> np.ndarray:
     """Seed-determined informative column subset, sorted ascending."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, _IDX_STREAM))))
+    rng = make_rng((spec.seed, _IDX_STREAM))
     return np.sort(rng.choice(spec.feature_dim, size=spec.n_informative, replace=False))
 
 
@@ -179,7 +180,7 @@ def generate_stream(spec: DriftSpec) -> Dataset:
         raise _too_large(spec, "more than this machine can allocate") from None
     for month in range(spec.n_months):
         part = slice(month * n, (month + 1) * n)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, month))))
+        rng = make_rng((spec.seed, month))
         y = labels[part]
         y[...] = rng.random(n) < spec.class_balance
         # one reused float64 block: the same draws, in the same order, as a

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .data import Dataset, class_counts, split_random, split_recent
 from .errors import ConfigError, NumericError, require_ints
-from .evaluation import confusion, metrics
+from .evaluation import SCORE_METRICS, confusion, metrics
 from .losses import LossConfig, loss_grad, loss_value
 from .model import (
     ModelConfig,
@@ -31,7 +31,6 @@ from .model import (
 )
 
 VALIDATION_STRATEGIES = ("random", "recent")
-SELECTION_METRICS = ("f1", "accuracy")
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class TrainConfig:
         require_ints(self, "n_val", "batch_size", "max_epochs", "patience", "seed")
         if self.validation not in VALIDATION_STRATEGIES:
             raise ConfigError(f"unknown validation strategy {self.validation!r}")
-        if self.selection_metric not in SELECTION_METRICS:
+        if self.selection_metric not in SCORE_METRICS:
             raise ConfigError(f"unknown selection metric {self.selection_metric!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
@@ -94,11 +93,6 @@ class TrainHistory:
         return len(self.train_loss)
 
 
-def _selection_score(m, metric: str) -> float:
-    v = m.f1 if metric == "f1" else m.acc
-    return v if v is not None else 0.0
-
-
 def train(
     ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig
 ) -> tuple[ModelParams, TrainHistory]:
@@ -133,7 +127,7 @@ def train(
 
     params = init_model(model_cfg, init_seed)
     opt = init_optimizer(params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
-    rng = np.random.Generator(np.random.PCG64(ss_loop))
+    rng = kernels.make_rng(ss_loop)
 
     hist = TrainHistory(
         n_train=len(train_ds),
@@ -150,8 +144,6 @@ def train(
     for epoch in range(train_cfg.max_epochs):
         order = rng.permutation(len(train_ds))
         epoch_loss = 0.0
-        # the gradient buffer lives for the steps only, so that it is not
-        # held beside the validation pass's cache
         grads = ModelParams(model_cfg, np.empty_like(params.flat))
         for start in range(0, len(order), train_cfg.batch_size):
             idx = order[start : start + train_cfg.batch_size]
@@ -176,7 +168,7 @@ def train(
         del grads
         hist.train_loss.append(epoch_loss / len(train_ds))
 
-        zval = forward(params, Xval, mode="eval")[0]  # its cache is dropped at once
+        zval = forward(params, Xval, mode="eval")[0]  # predict_logits, timed as validation
         if not np.isfinite(zval).all():
             raise NumericError(
                 f"training diverged: non-finite validation logits at epoch {epoch}"
@@ -188,7 +180,7 @@ def train(
         hist.val_fnr.append(m.fnr)
         hist.val_fpr.append(m.fpr)
 
-        score = _selection_score(m, train_cfg.selection_metric)
+        score = m.score(train_cfg.selection_metric)
         if score > hist.best_score:
             hist.best_score = score
             hist.best_epoch = epoch

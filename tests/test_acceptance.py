@@ -204,7 +204,7 @@ def test_03_network_gradient_matches_finite_differences(capsys):
         seed = 0
         while len(checked_seeds) < 3:
             params = init_model(model_cfg, seed)
-            z, cache = forward(params, X, mode="eval")
+            z, cache = forward(params, X, mode="train")  # no dropout: no mask drawn
             if relu_margin(params, X) <= margin:
                 seed += 1
                 continue

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from driftkit.config import EvalSettings, RunConfig
+from driftkit.config import _SCHEMA, EvalSettings, RunConfig
 from driftkit.data import write_json
 from driftkit.errors import ConfigError
 from driftkit.pfi import PfiConfig
@@ -85,8 +86,39 @@ def test_type_errors():
     with pytest.raises(ConfigError, match="head widths must be integers"):
         RunConfig.from_dict({"model": {"head_widths": [True]}})
     for dim in ("abc", [3]):
-        with pytest.raises(ConfigError, match="^model.input_dim must be an integer or null$"):
+        with pytest.raises(ConfigError, match="^input_dim must be an integer, got "):
             RunConfig.from_dict({"model": {"input_dim": dim}})
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _doc(path, value):
+    doc = value
+    for key in reversed(path):
+        doc = {key: doc}
+    return doc
+
+
+@pytest.mark.parametrize("path", [p for p, v in _leaves(_SCHEMA) if v is not None],
+                         ids=".".join)
+def test_null_is_refused_by_name_where_the_default_is_not_null(path):
+    with pytest.raises(ConfigError, match=f"^{re.escape('.'.join(path))} must be "):
+        RunConfig.from_dict(_doc(path, None))
+
+
+def test_null_default_keys_take_null():
+    nullable = [p for p, v in _leaves(_SCHEMA) if v is None]
+    assert {".".join(p) for p in nullable} == {
+        "data.train", "data.eval", "data.pfi", "data.mask", "model.input_dim"}
+    for path in nullable:
+        cfg = RunConfig.from_dict(_doc(path, None))
+        assert cfg.config_hash == RunConfig.from_dict({}).config_hash
 
 
 def test_value_validation_happens_at_load():

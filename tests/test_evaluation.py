@@ -93,9 +93,13 @@ def test_metrics_exact_hand_table():
         assert m.fpr == exact(fpr)
 
 
-def test_metrics_empty_confusion():
-    with pytest.raises(DataError):
-        metrics(ConfusionCounts())
+def test_score_is_f1_or_accuracy_with_undefined_f1_as_zero():
+    """The one selection and importance score, which training and PFI share."""
+    m = metrics(ConfusionCounts(3, 1, 4, 2))
+    assert (m.score("f1"), m.score("accuracy")) == (6 / 9, 0.7)
+    negatives_only = metrics(ConfusionCounts(0, 0, 10, 0))
+    assert negatives_only.f1 is None
+    assert (negatives_only.score("f1"), negatives_only.score("accuracy")) == (0.0, 1.0)
 
 
 def make_report():

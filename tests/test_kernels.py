@@ -1,6 +1,6 @@
 """The vectorized kernels against scalar reference loops written with the
 ``math`` module, one element at a time, and the numeric helpers (seeded
-RNG, sigmoid, matmul, dropout masks) against numpy and mpmath."""
+RNG, sigmoid, dropout masks) against numpy and mpmath."""
 
 import math
 
@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from driftkit import kernels
-from driftkit.errors import ConfigError, ShapeError
-from driftkit.kernels import dropout_mask, make_rng, matmul, sigmoid
+from driftkit.kernels import dropout_mask, make_rng, sigmoid
 
 mpmath.mp.dps = 50
 
@@ -254,17 +253,6 @@ def test_sigmoid_of_a_scalar_or_0d_array_is_a_float():
     assert sigmoid(np.array(0.3)) == sigmoid(np.array([0.3]))[0]
 
 
-def test_matmul_matches_numpy_and_checks_shapes():
-    rng = make_rng(0)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2))
-    assert np.array_equal(matmul(a, b), a @ b)
-    with pytest.raises(ShapeError):
-        matmul(a, a)
-    with pytest.raises(ShapeError):
-        matmul(a, rng.standard_normal(4))
-
-
 def test_dropout_mask_values_and_rate():
     rng = make_rng(7)
     mask = dropout_mask((200, 50), 0.3, rng)
@@ -285,18 +273,3 @@ def test_dropout_mask_equals_boolean_keep_formula():
         expected = keep.astype(np.float64) / (1.0 - rate)
         assert mask.dtype == np.float64
         assert mask.tobytes() == expected.tobytes()
-
-
-def test_dropout_mask_rate_zero_is_identity_and_skips_rng():
-    rng = make_rng(3)
-    before = rng.bit_generator.state
-    mask = dropout_mask((4, 4), 0.0, rng)
-    assert np.array_equal(mask, np.ones((4, 4)))
-    assert rng.bit_generator.state == before
-
-
-def test_dropout_mask_rejects_bad_rate():
-    with pytest.raises(ConfigError):
-        dropout_mask((2, 2), 1.0, make_rng(0))
-    with pytest.raises(ConfigError):
-        dropout_mask((2, 2), -0.1, make_rng(0))

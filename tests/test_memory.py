@@ -54,14 +54,15 @@ def _traced(fn):
 
 @pytest.mark.parametrize("blocks", [0, 1, 2])
 def test_eval_forward_caches_no_pre_activations(blocks):
-    """An eval-mode cache holds each layer's output once: the entry output,
-    two outputs per residual block and one per head, plus the logits."""
+    """A forward cache of the eval computation (train mode without dropout)
+    holds each layer's output once: the entry output, two outputs per
+    residual block and one per head, plus the logits."""
     n, trunk, heads = 300, 128, (48, 24)
     cfg = ModelConfig(input_dim=10, trunk_width=trunk, n_residual_blocks=blocks,
-                      head_widths=heads)
+                      dropout_rate=0.0, head_widths=heads)
     params = init_model(cfg, seed=0)
     X = np.random.default_rng(1).standard_normal((n, 10))
-    _, held, _ = _traced(lambda: forward(params, X, mode="eval"))
+    _, held, _ = _traced(lambda: forward(params, X, mode="train"))
     outputs = 8 * n * ((1 + 2 * blocks) * trunk + sum(heads) + 1)
     assert outputs <= held <= outputs + 16 * 1024
 

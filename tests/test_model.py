@@ -2,8 +2,10 @@ import json
 import os
 import re
 import struct
+import time
+import tracemalloc
 import types
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -218,7 +220,7 @@ def test_relu_and_grad():
     params = ModelParams(cfg, np.zeros(param_count(cfg)))
     params.tensors["entry.b"][...] = x[0]
     params.tensors["out.W"][...] = -1.0
-    _, cache = forward(params, np.zeros((1, 1)))
+    _, cache = forward(params, np.zeros((1, 1)), mode="train")
     assert np.array_equal(cache["entry"][0], [[0.0, 0.0, 0.0, 3.5]])
     grads = backward(params, cache, np.ones(1))
     assert np.array_equal(grads["entry.b"], [0.0, 0.0, 0.0, -1.0])
@@ -311,7 +313,7 @@ def test_backward_matches_finite_differences():
     X = rng.standard_normal((6, 3))
     y = (rng.random(6) < 0.5).astype(np.float64)
     cfg = LossConfig(variant="drbce", lam=0.1, p_fn=5.0, p_fp=1.0, w1=0.5, w0=0.5)
-    z, cache = forward(params, X, mode="eval")
+    z, cache = forward(params, X, mode="train")  # no dropout: no mask drawn
     grads = backward(params, cache, loss_grad(z, y, cfg))
     assert set(grads) == set(params.tensors)
     for name in params.tensors:
@@ -377,11 +379,24 @@ def test_backward_rejects_foreign_cache():
     params = tiny_model()
     other = tiny_model(seed=1)
     X = np.zeros((2, 4))
-    z, cache = forward(params, X)
+    z, cache = forward(params, X, mode="train")
     with pytest.raises(StateError):
         backward(other, cache, np.zeros(2))
     with pytest.raises(StateError):
         backward(params, cache, np.zeros(3))
+
+
+def test_eval_forward_is_predict_logits_and_its_cache_is_refused():
+    """Eval-mode logits have one path: ``forward(..., "eval")`` returns the
+    bytes of ``predict_logits`` and an empty cache, which ``backward``
+    refuses."""
+    params = tiny_model(dropout=0.5, seed=2)
+    X = make_rng(4).standard_normal((300, 4))
+    z, cache = forward(params, X, mode="eval")
+    assert z.tobytes() == predict_logits(params, X).tobytes()
+    assert cache == {}
+    with pytest.raises(StateError, match="train-mode forward"):
+        backward(params, cache, z)
 
 
 def test_predict_proba_is_sigmoid_of_logits():
@@ -405,7 +420,9 @@ INFERENCE_TOPOLOGIES = {
 @pytest.mark.parametrize("topology", list(INFERENCE_TOPOLOGIES))
 def test_blocked_inference_is_bit_identical_to_forward(topology, n):
     """The row-blocked, cache-free ``predict_logits`` must give exactly the
-    bits of the unblocked eval ``forward``, on block edges and remainders.
+    bits of one unblocked ``forward`` pass, on block edges and remainders:
+    a train-mode pass of the same parameters without dropout, which draws
+    no mask.
 
     Equality holds on the OpenBLAS float64 build the benchmark uses. A BLAS
     that rounds a row block's product differently from the whole product
@@ -422,7 +439,8 @@ def test_blocked_inference_is_bit_identical_to_forward(topology, n):
     X = rng.standard_normal((n, d))
     z = predict_logits(params, X)
     assert z.shape == (n,)
-    assert np.array_equal(z, forward(params, X, "eval")[0])
+    unblocked = ModelParams(replace(cfg, dropout_rate=0.0), params.flat)
+    assert np.array_equal(z, forward(unblocked, X, "train")[0])
 
 
 def reference_adamw(p, g, m, v, t, lr, b1, b2, eps, wd):
@@ -523,7 +541,7 @@ def test_tensors_are_views_of_one_flat_vector_in_layer_order(tmp_path):
 def test_backward_writes_into_gradient_buffer():
     params = tiny_model(seed=4)
     X = make_rng(0).standard_normal((5, 4))
-    z, cache = forward(params, X)
+    z, cache = forward(params, X, mode="train")
     fresh = backward(params, cache, z)
     buf = ModelParams(params.cfg, np.full_like(params.flat, np.nan))
     grads = backward(params, cache, z, out=buf)
@@ -593,3 +611,27 @@ def test_load_rejects_tampered_layer_list(tmp_path):
     with pytest.raises(FormatError, match="layer"):
         load_model(path)
 
+
+def test_load_rejects_a_huge_block_count_before_walking_the_blocks(tmp_path):
+    """A header claiming 2**40 residual blocks passes ModelConfig (the
+    parameter bytes stay addressable) but not the size check, which runs
+    before anything that grows with the block count."""
+    path = tmp_path / "model.dnet"
+    save_model(tiny_model(), path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    header = json.loads(raw[9 : 9 + hlen])
+    header["config"]["n_residual_blocks"] = 2**40
+    hb = json.dumps(header).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(hb)) + hb + raw[9 + hlen :])
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(FormatError, match="expected .* bytes"):
+            load_model(path)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1 << 20

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftkit.data import Dataset
-from driftkit.errors import ConfigError, EmptyMaskError, ShapeError
+from driftkit.errors import ConfigError, DataError, EmptyMaskError, ShapeError
 from driftkit.model import ModelConfig, ModelParams, init_model, param_count, predict_proba
 from driftkit.pfi import (
     PfiConfig,
@@ -121,6 +121,13 @@ def test_run_pfi_validation():
         run_pfi(params, X[:, :2], y, PfiConfig())
     with pytest.raises(ShapeError):
         run_pfi(params, X, y[:-1], PfiConfig())
+
+
+def test_run_pfi_rejects_an_empty_matrix():
+    """The guard that keeps an empty confusion out of ``metrics``."""
+    X, y = signal_data()
+    with pytest.raises(DataError, match="non-empty"):
+        run_pfi(single_feature_model(), X[:0], y[:0], PfiConfig())
 
 
 def test_config_validation():
