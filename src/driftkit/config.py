@@ -2,7 +2,7 @@
 
 Besides ``seed``, ``out_dir`` and a ``data`` section of input paths
 (``train``, ``eval``, ``pfi``, ``mask``), the document has one section
-per typed config; its keys and defaults are the dataclass fields:
+per typed config; its keys, defaults and rules are the dataclass fields:
 
     "model"  ModelConfig   (driftkit.model; input_dim null = inferred
                             from the masked data)
@@ -29,11 +29,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import MISSING, dataclass, fields
 
 from .data import read_json
-from .errors import ConfigError, require_ints
+from .errors import ConfigError, Rule, check_fields, choice, integer, real
 from .evaluation import ERROR_METRICS
 from .losses import LossConfig
 from .model import ModelConfig
@@ -43,21 +42,13 @@ from .training import TrainConfig
 
 @dataclass(frozen=True)
 class EvalSettings:
-    threshold: float = 0.5
-    epsilon: float = 0.1
-    persistence: int = 2
-    error_metric: str = "err"
+    threshold: float = real(0.5, "(0, 1)")
+    epsilon: float = real(0.1, "[0, inf)")
+    persistence: int = integer(2, "[1, inf)")
+    error_metric: str = choice("err", ERROR_METRICS)
 
     def __post_init__(self):
-        require_ints(self, "persistence")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("eval.threshold must be in (0, 1)")
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ConfigError(f"eval.epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.persistence < 1:
-            raise ConfigError("eval.persistence must be >= 1")
-        if self.error_metric not in ERROR_METRICS:
-            raise ConfigError(f"eval.error_metric must be one of {ERROR_METRICS}")
+        check_fields(self, "eval.")
 
 
 # fields every run sets itself, so they are not config keys
@@ -91,33 +82,21 @@ _SCHEMA = {
 
 
 def _coerce(default, value, where: str):
-    """Match a user leaf to its default's JSON type so equal configs
-    serialize (and therefore hash) identically, e.g. 5 vs 5.0. Only a
-    key whose default is null takes null."""
-    if default is None:
-        return value
-    if isinstance(default, bool) or isinstance(value, bool):
-        raise ConfigError(f"bad type for {where}: {value!r}")
-    if isinstance(default, float):
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} must be a number, got {value!r}")
-        try:
-            return float(value)
-        except OverflowError:  # a JSON integer beyond float64
-            raise ConfigError(f"{where} is beyond the float64 range") from None
-    if isinstance(default, int):
-        if not isinstance(value, int):
-            raise ConfigError(f"{where} must be an integer, got {value!r}")
-        return value
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{where} must be a string, got {value!r}")
-        return value
+    """A user leaf in its default's JSON type, so that equal configs
+    serialize (and therefore hash) identically: a JSON integer for a real
+    field becomes a float (5 vs 5.0), a list default takes a list. The
+    value itself, null included where the default is not null, is
+    checked by its section's dataclass."""
     if isinstance(default, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
         return list(value)
-    return copy.deepcopy(value)
+    if isinstance(default, float) and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:  # beyond float64, which the field's rule refuses
+            pass
+    return value
 
 
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
@@ -145,23 +124,20 @@ class RunConfig:
     resolved: dict
 
     def __post_init__(self):
-        # instantiate every typed section eagerly so bad values fail at
-        # load time with the section name in the message, not mid-run
-        try:
-            self.loss_config()
-            self.train_config()
-            self.pfi_config()
-            self.eval_settings()
-            self.model_config(input_dim=1)  # ModelConfig checks a set input_dim
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        # seed first: the sections copy it into train.seed and pfi.seed
+        Rule("integer", "[0, inf)").check(self.seed, "seed")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError("out_dir must be a non-empty string")
         for role, path in self.resolved["data"].items():
             if path is not None and not isinstance(path, str):
                 raise ConfigError(f"data.{role} must be a path string or null")
+        # instantiate every typed section eagerly so bad values fail at
+        # load time, each named with its section, not mid-run
+        self.loss_config()
+        self.train_config()
+        self.pfi_config()
+        self.eval_settings()
+        self.model_config(input_dim=1)  # ModelConfig checks a set input_dim
 
     @property
     def seed(self) -> int:

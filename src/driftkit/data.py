@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
+from .errors import ConfigError, DataError, FormatError, ParseError, Rule, ShapeError
 from .kernels import make_rng
 
 _MAGIC = b"DSET"
@@ -123,6 +123,10 @@ class Dataset:
         )
 
 
+# every kept index, and the width they index into, is an integer >= 0
+_INDEX = Rule("integer", "[0, inf)")
+
+
 @dataclass(frozen=True)
 class FeatureMask:
     """Ordered list of feature indices kept after reduction."""
@@ -131,14 +135,15 @@ class FeatureMask:
     original_dim: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.kept_indices)
+        idx = tuple(_INDEX.check(i, "kept_indices") for i in self.kept_indices)
+        object.__setattr__(self, "kept_indices", idx)
+        object.__setattr__(self, "original_dim", _INDEX.check(self.original_dim, "original_dim"))
         if not idx:
             raise ConfigError("feature mask must keep at least one index")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ConfigError("kept_indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= self.original_dim:
+        if idx[-1] >= self.original_dim:
             raise ConfigError("kept index out of range for original_dim")
-        object.__setattr__(self, "kept_indices", idx)
 
     def __len__(self) -> int:
         return len(self.kept_indices)

@@ -1,11 +1,13 @@
-"""Exception hierarchy shared by all driftkit modules, and the integer
-check every config dataclass makes.
+"""Exception hierarchy shared by all driftkit modules, and the field
+rules every config dataclass checks.
 
 Each class maps to one failure category so the CLI can translate them
 into distinct exit codes.
 """
 
 import numbers
+import sys
+from dataclasses import dataclass, field, fields
 
 
 class DriftkitError(Exception):
@@ -54,10 +56,62 @@ class EmptyMaskError(DataError):
         self.report = report
 
 
-def require_ints(obj, *names: str) -> None:
-    """Store the named fields of dataclass ``obj`` as ints; ConfigError if not integral."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+@dataclass(frozen=True)
+class Rule:
+    """What one config value accepts: ``kind`` "integer" or "real" (a
+    finite number) within ``interval``, written like "[0, 1)" or
+    "(0, inf)" with "(" or ")" for an open end (None: any value of the
+    kind), or ``kind`` "choice", one of the strings in ``choices``."""
+
+    kind: str
+    interval: str | None = None
+    choices: tuple = ()
+
+    def __str__(self) -> str:
+        if self.kind == "choice":
+            return "one of " + ", ".join(map(repr, self.choices))
+        words = "an integer" if self.kind == "integer" else "a finite number"
+        return f"{words} in {self.interval}" if self.interval else words
+
+    def check(self, value, name: str):
+        """``value`` as it is stored: an integer as ``int``, anything else
+        as given. A value the rule refuses is a ConfigError naming ``name``."""
+        if self.kind == "choice":
+            ok = isinstance(value, str) and value in self.choices
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            ok = False
+        elif self.kind == "integer":
+            ok = isinstance(value, numbers.Integral)
+            value = int(value) if ok else value
+        else:  # abs() <= max fails NaN, inf and integers beyond float64
+            ok = abs(value) <= sys.float_info.max
+        if ok and self.interval:
+            lo, hi = (float(end) for end in self.interval[1:-1].split(","))
+            ok = (lo < value if self.interval[0] == "(" else lo <= value) and (
+                value < hi if self.interval[-1] == ")" else value <= hi)
+        if not ok:
+            raise ConfigError(f"{name} must be {self}, got {value!r}")
+        return value
+
+
+# a config dataclass declares each field's rule with one of these three
+def integer(default, interval: str):
+    return field(default=default, metadata={"rule": Rule("integer", interval)})
+
+
+def real(default, interval: str | None = None):
+    return field(default=default, metadata={"rule": Rule("real", interval)})
+
+
+def choice(default, choices: tuple):
+    return field(default=default, metadata={"rule": Rule("choice", choices=choices)})
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """Check, in field order, every field of dataclass ``obj`` that
+    declares a Rule and store it as the rule returns it; an error names
+    the field as ``prefix`` + its name."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            value = f.metadata["rule"].check(getattr(obj, f.name), prefix + f.name)
+            object.__setattr__(obj, f.name, value)

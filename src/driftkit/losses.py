@@ -20,13 +20,12 @@ code path, same rounding).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, check_fields, choice, real
 
 VARIANTS = ("bce", "sd_bce", "drbce")
 WEIGHT_MODES = ("frequency", "inverse_frequency", "uniform")
@@ -36,10 +35,10 @@ WEIGHT_MODES = ("frequency", "inverse_frequency", "uniform")
 class LossConfig:
     """Loss variant plus its coefficients.
 
-    lam      logit-norm (spectral decoupling) coefficient, >= 0
-    p_fn     penalty on missed positives (false negatives), > 0
-    p_fp     penalty on false alarms (false positives), > 0
-    w1, w0   class weights for labels 1 and 0, in [0, 1]
+    lam      logit-norm (spectral decoupling) coefficient
+    p_fn     penalty on missed positives (false negatives)
+    p_fp     penalty on false alarms (false positives)
+    w1, w0   class weights for labels 1 and 0
     weight_mode  how training derives w0/w1 from train-split class counts:
         "frequency"          w1 = N1/N, w0 = N0/N (majority class weighted up)
         "inverse_frequency"  w1 = N0/N, w0 = N1/N
@@ -49,28 +48,16 @@ class LossConfig:
     The defaults are the tuned operating point.
     """
 
-    variant: str = "drbce"
-    lam: float = 0.1
-    p_fn: float = 5.0
-    p_fp: float = 1.0
-    w1: float = 1.0
-    w0: float = 1.0
-    weight_mode: str = "frequency"
+    variant: str = choice("drbce", VARIANTS)
+    lam: float = real(0.1, "[0, inf)")
+    p_fn: float = real(5.0, "(0, inf)")
+    p_fp: float = real(1.0, "(0, inf)")
+    w1: float = real(1.0, "[0, 1]")
+    w0: float = real(1.0, "[0, 1]")
+    weight_mode: str = choice("frequency", WEIGHT_MODES)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown loss variant {self.variant!r}")
-        # written as ranges so that NaN, which fails every comparison, fails them too
-        if not 0.0 <= self.lam < math.inf:
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (0.0 < self.p_fn < math.inf and 0.0 < self.p_fp < math.inf):
-            raise ConfigError(
-                f"p_fn and p_fp must be finite and > 0, got {self.p_fn} and {self.p_fp}"
-            )
-        if not (0 <= self.w0 <= 1 and 0 <= self.w1 <= 1):
-            raise ConfigError("class weights must lie in [0, 1]")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
+        check_fields(self, "loss.")
 
     def effective(self) -> "LossConfig":
         """Coefficients actually applied, after variant reductions."""

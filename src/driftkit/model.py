@@ -27,14 +27,14 @@ import math
 import numbers
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import kernels
 from .data import FeatureMask, atomic_open
 from .errors import (ConfigError, DataError, DriftkitError, FormatError, ShapeError,
-                     StateError, require_ints)
+                     StateError, check_fields, integer, real)
 from .kernels import dropout_mask, make_rng
 
 # every product goes through this module-level name, which a profiler may
@@ -48,24 +48,16 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class ModelConfig:
-    input_dim: int
-    trunk_width: int = 512
-    n_residual_blocks: int = 2
-    dropout_rate: float = 0.2
+    input_dim: int = integer(MISSING, "[1, inf)")
+    trunk_width: int = integer(512, "[1, inf)")
+    n_residual_blocks: int = integer(2, "[0, inf)")
+    dropout_rate: float = real(0.2, "[0, 1)")
     head_widths: tuple = (128,)
 
     def __post_init__(self):
-        require_ints(self, "input_dim", "trunk_width", "n_residual_blocks")
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.trunk_width < 1:
-            raise ConfigError(f"trunk_width must be >= 1, got {self.trunk_width}")
-        if self.n_residual_blocks < 0:
-            raise ConfigError("n_residual_blocks must be >= 0")
-        rate = self.dropout_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {rate!r}")
-        object.__setattr__(self, "dropout_rate", float(rate))
+        check_fields(self, "model.")
+        # a float in the checkpoint header, whatever real number was given
+        object.__setattr__(self, "dropout_rate", float(self.dropout_rate))
         widths = tuple(self.head_widths)
         if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in widths):
             raise ConfigError(f"head widths must be integers, got {list(widths)!r}")

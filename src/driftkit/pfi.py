@@ -18,13 +18,12 @@ the order in which features are evaluated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FeatureMask, write_csv
-from .errors import ConfigError, DataError, EmptyMaskError, ShapeError, require_ints
+from .errors import DataError, EmptyMaskError, ShapeError, check_fields, choice, integer, real
 from .evaluation import SCORE_METRICS, confusion, metrics
 from .kernels import make_rng
 from .model import ModelParams, predict_proba
@@ -32,22 +31,14 @@ from .model import ModelParams, predict_proba
 
 @dataclass(frozen=True)
 class PfiConfig:
-    metric: str = "f1"
-    n_repeats: int = 5
-    seed: int = 0
-    keep_threshold: float = 0.0
-    threshold: float = 0.5  # probability cut for class decisions
+    metric: str = choice("f1", SCORE_METRICS)
+    n_repeats: int = integer(5, "[1, inf)")
+    seed: int = integer(0, "[0, inf)")
+    keep_threshold: float = real(0.0)
+    threshold: float = real(0.5, "(0, 1)")  # probability cut for class decisions
 
     def __post_init__(self):
-        require_ints(self, "n_repeats", "seed")
-        if self.metric not in SCORE_METRICS:
-            raise ConfigError(f"unknown importance metric {self.metric!r}")
-        if self.n_repeats < 1:
-            raise ConfigError("n_repeats must be >= 1")
-        if not math.isfinite(self.keep_threshold):
-            raise ConfigError(f"keep_threshold must be finite, got {self.keep_threshold}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"pfi.threshold must be in (0, 1), got {self.threshold}")
+        check_fields(self, "pfi.")
 
 
 @dataclass
@@ -115,5 +106,5 @@ def run_pfi(
     report = PfiReport(importances, kept, e_base, cfg.metric, cfg.n_repeats, cfg.seed)
     if not kept.any():
         raise EmptyMaskError("no feature importance exceeded the keep threshold", report)
-    mask = FeatureMask(tuple(int(i) for i in np.flatnonzero(kept)), d)
+    mask = FeatureMask(tuple(np.flatnonzero(kept)), d)
     return mask, report

@@ -24,16 +24,14 @@ sample-for-sample regardless of generation order.
 
 from __future__ import annotations
 
-import numbers
 import re
-import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .data import FIRST_MONTH, LAST_MONTH, Dataset, month_label
-from .errors import ConfigError, require_ints
+from .errors import ConfigError, check_fields, choice, integer, real
 from .kernels import make_rng
 
 DRIFT_SHAPES = ("sudden", "gradual", "incremental", "recurrent")
@@ -41,56 +39,30 @@ DRIFT_SHAPES = ("sudden", "gradual", "incremental", "recurrent")
 # tag mixed into the seed stream that picks the informative column subset
 _IDX_STREAM = 101
 
-_INT_FIELDS = ("n_months", "samples_per_month", "feature_dim", "n_informative",
-               "drift_month", "seed", "recurrent_period")
-_REAL_FIELDS = ("drift_magnitude", "class_balance", "informative_scale")
-
 
 @dataclass(frozen=True)
 class DriftSpec:
-    shape: str = "sudden"
-    n_months: int = 12
-    samples_per_month: int = 500
-    feature_dim: int = 30
-    n_informative: int = 6
-    drift_month: int = 6
-    drift_magnitude: float = 2.5
-    class_balance: float = 0.5  # P(label == 1)
-    seed: int = 0
-    informative_scale: float = 1.0
-    recurrent_period: int = 2
+    shape: str = choice("sudden", DRIFT_SHAPES)
+    n_months: int = integer(12, "[1, inf)")
+    samples_per_month: int = integer(500, "[1, inf)")
+    feature_dim: int = integer(30, "[1, inf)")
+    n_informative: int = integer(6, "[1, inf)")
+    drift_month: int = integer(6, "[0, inf)")
+    drift_magnitude: float = real(2.5, "[0, inf)")
+    class_balance: float = real(0.5, "(0, 1)")  # P(label == 1)
+    seed: int = integer(0, "[0, inf)")
+    informative_scale: float = real(1.0)
+    recurrent_period: int = integer(2, "[1, inf)")
     start_month: str = "2021-01"
 
     def __post_init__(self):
-        require_ints(self, *_INT_FIELDS)
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            # a bool is no number here, and abs() <= max fails NaN, inf and
-            # integers beyond float64
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-            ):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.start_month, str):
-            raise ConfigError(f"start_month must be a string, got {self.start_month!r}")
-        if self.shape not in DRIFT_SHAPES:
-            raise ConfigError(f"unknown drift shape {self.shape!r}")
-        if self.n_months < 1 or self.samples_per_month < 1:
-            raise ConfigError("n_months and samples_per_month must be >= 1")
-        if not 1 <= self.n_informative <= self.feature_dim:
+        check_fields(self)
+        if self.n_informative > self.feature_dim:
             raise ConfigError("need 1 <= n_informative <= feature_dim")
         if 4 * self.n_months * self.samples_per_month * self.feature_dim > np.iinfo(np.intp).max:
             raise _too_large(self, "more than numpy can address")
-        if not 0 <= self.drift_month < self.n_months:
+        if self.drift_month >= self.n_months:
             raise ConfigError("drift_month must lie in [0, n_months)")
-        if self.drift_magnitude < 0:
-            raise ConfigError("drift_magnitude must be >= 0")
-        if not 0.0 < self.class_balance < 1.0:
-            raise ConfigError("class_balance must be in (0, 1)")
-        if self.recurrent_period < 1:
-            raise ConfigError("recurrent_period must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         first = _first_month(self.start_month)
         if not FIRST_MONTH <= first <= LAST_MONTH - self.n_months + 1:
             raise ConfigError(
@@ -118,7 +90,7 @@ def _too_large(spec: DriftSpec, why: str) -> ConfigError:
 def _first_month(s: str) -> int:
     """``start_month`` 'YYYY-MM' (four ASCII digits, a dash, two) as
     months since 1970-01."""
-    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}", s):
+    if not isinstance(s, str) or not re.fullmatch(r"[0-9]{4}-[0-9]{2}", s):
         raise ConfigError(f"start_month must look like 'YYYY-MM', got {s!r}")
     y, m = int(s[:4]), int(s[5:])
     if not 1 <= m <= 12:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .data import Dataset, class_counts, split_random, split_recent
-from .errors import ConfigError, NumericError, require_ints
+from .errors import ConfigError, NumericError, check_fields, choice, integer, real
 from .evaluation import SCORE_METRICS, confusion, metrics
 from .losses import LossConfig, loss_grad, loss_value
 from .model import (
@@ -36,38 +36,19 @@ VALIDATION_STRATEGIES = ("random", "recent")
 @dataclass(frozen=True)
 class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
-    validation: str = "recent"
-    n_val: int = 1000
-    batch_size: int = 256
-    max_epochs: int = 100
-    patience: int = 10
-    seed: int = 0
-    selection_metric: str = "f1"
-    threshold: float = 0.5
-    lr: float = 1e-4
-    weight_decay: float = 1e-4
+    validation: str = choice("recent", VALIDATION_STRATEGIES)
+    n_val: int = integer(1000, "[1, inf)")
+    batch_size: int = integer(256, "[1, inf)")
+    max_epochs: int = integer(100, "[1, inf)")
+    patience: int = integer(10, "[0, inf)")
+    seed: int = integer(0, "[0, inf)")
+    selection_metric: str = choice("f1", SCORE_METRICS)
+    threshold: float = real(0.5, "(0, 1)")
+    lr: float = real(1e-4, "(0, inf)")
+    weight_decay: float = real(1e-4, "[0, inf)")
 
     def __post_init__(self):
-        require_ints(self, "n_val", "batch_size", "max_epochs", "patience", "seed")
-        if self.validation not in VALIDATION_STRATEGIES:
-            raise ConfigError(f"unknown validation strategy {self.validation!r}")
-        if self.selection_metric not in SCORE_METRICS:
-            raise ConfigError(f"unknown selection metric {self.selection_metric!r}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.patience < 0:
-            raise ConfigError("patience must be >= 0")
-        if self.n_val < 1:
-            raise ConfigError("n_val must be >= 1")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must be in (0, 1)")
-        # written as ranges so that NaN, which fails every comparison, fails them too
-        if not 0.0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        check_fields(self, "train.")
 
 
 @dataclass

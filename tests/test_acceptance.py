@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-import pytest
 
 from driftkit import kernels
 from driftkit.cli import main as cli_main

@@ -154,8 +154,10 @@ def test_sweep_rejects_bad_grid(workdir, tmp_path, capsys):
         ({"lambdas": [0.1, True]}, "lambdas"),
         ({"penalty_pairs": [["a", 1]]}, "penalty_pairs"),
         # each cell's config is checked before the first cell trains
-        ({"lambdas": [0.1, -1]}, "cell lam-1_fn1_fp1: lam must be finite and >= 0"),
-        ({"penalty_pairs": [[0, 1]]}, "cell lam0.5_fn0_fp1: p_fn and p_fp must be"),
+        ({"lambdas": [0.1, -1]},
+         "cell lam-1_fn1_fp1: loss.lam must be a finite number in [0, inf)"),
+        ({"penalty_pairs": [[0, 1]]},
+         "cell lam0.5_fn0_fp1: loss.p_fn must be a finite number in (0, inf)"),
         ({"lambdas": [10**400]}, "lambdas"),
     ]
     for grid, message in cases:

@@ -86,7 +86,8 @@ def test_type_errors():
     with pytest.raises(ConfigError, match="head widths must be integers"):
         RunConfig.from_dict({"model": {"head_widths": [True]}})
     for dim in ("abc", [3]):
-        with pytest.raises(ConfigError, match="^input_dim must be an integer, got "):
+        with pytest.raises(ConfigError,
+                           match=r"^model\.input_dim must be an integer in \[1, inf\), got "):
             RunConfig.from_dict({"model": {"input_dim": dim}})
 
 
@@ -134,9 +135,9 @@ def test_value_validation_happens_at_load():
         RunConfig.from_dict({"out_dir": ""})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"model": {"dropout_rate": 1.5}})
-    with pytest.raises(ConfigError, match="threshold must be in"):
+    with pytest.raises(ConfigError, match=r"pfi\.threshold must be a finite number in \(0, 1\)"):
         RunConfig.from_dict({"pfi": {"threshold": 1.5}})
-    with pytest.raises(ConfigError, match="threshold must be in"):
+    with pytest.raises(ConfigError, match=r"pfi\.threshold must be a finite number in \(0, 1\)"):
         RunConfig.from_dict({"pfi": {"threshold": float("nan")}})
 
 
@@ -221,7 +222,10 @@ def test_eval_settings_validation():
     (EvalSettings, "persistence", 1.5), (EvalSettings, "persistence", False),
 ])
 def test_integer_fields_reject_floats_and_bools(cls, field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+    section = {TrainConfig: "train", PfiConfig: "pfi", EvalSettings: "eval"}[cls]
+    message = (rf"^{section}\.{field} must be an integer in \[[01], inf\), "
+               rf"got {re.escape(repr(value))}$")
+    with pytest.raises(ConfigError, match=message):
         cls(**{field: value})
 
 

@@ -411,6 +411,22 @@ def test_feature_mask_validation():
         FeatureMask((-1, 2), 6)
 
 
+@pytest.mark.parametrize("kept, dim, key", [
+    # int() read the first three as (0, 1), (1,) and (1, 2)
+    ((0.7, 1.2), 3, "kept_indices"), (("1",), 3, "kept_indices"), ((True, 2), 3, "kept_indices"),
+    ((0,), 2.5, "original_dim"), ((0,), "3", "original_dim"),
+])
+def test_feature_mask_refuses_non_integers_by_name(kept, dim, key):
+    with pytest.raises(ConfigError, match=rf"^{key} must be an integer in \[0, inf\), got "):
+        FeatureMask(kept, dim)
+
+
+def test_feature_mask_stores_python_ints():
+    mask = FeatureMask((np.int64(1), np.uint8(2)), np.int32(3))
+    assert [type(v) for v in (*mask.kept_indices, mask.original_dim)] == [int, int, int]
+    assert json.dumps(mask.to_dict()) == '{"original_dim": 3, "kept_indices": [1, 2]}'
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"original_dim": 6, "kept_indices": [float("inf")]}, "kept_indices must be a list"),
     ({"original_dim": 6, "kept_indices": "12"}, "kept_indices must be a list"),

@@ -18,8 +18,6 @@ from driftkit.evaluation import (
     metrics,
 )
 
-from conftest import make_dataset
-
 
 def brute_confusion(probs, labels, threshold):
     tp = fp = tn = fn = 0

@@ -130,7 +130,8 @@ def test_init_model_reports_a_failed_allocation(monkeypatch):
     ("n_residual_blocks", True), ("n_residual_blocks", 1.0), ("n_residual_blocks", None),
 ])
 def test_model_config_rejects_non_integer_sizes(field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+    message = rf"^model\.{field} must be an integer in \[[01], inf\), got "
+    with pytest.raises(ConfigError, match=message):
         ModelConfig(**{"input_dim": 3, field: value})
 
 

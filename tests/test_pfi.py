@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from driftkit.data import Dataset
 from driftkit.errors import ConfigError, DataError, EmptyMaskError, ShapeError
-from driftkit.model import ModelConfig, ModelParams, init_model, param_count, predict_proba
+from driftkit.model import ModelConfig, ModelParams, param_count, predict_proba
 from driftkit.pfi import (
     PfiConfig,
     column_importance,
