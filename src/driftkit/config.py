@@ -32,7 +32,7 @@ import json
 from dataclasses import MISSING, dataclass, fields
 
 from .data import read_json
-from .errors import ConfigError, Rule, check_fields, choice, integer, real
+from .errors import ConfigError, bounded, check_fields, choice, integer, real
 from .evaluation import ERROR_METRICS
 from .losses import LossConfig
 from .model import ModelConfig
@@ -125,7 +125,7 @@ class RunConfig:
 
     def __post_init__(self):
         # seed first: the sections copy it into train.seed and pfi.seed
-        Rule("integer", "[0, inf)").check(self.seed, "seed")
+        bounded("integer", "[0, inf)").check(self.seed, "seed")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError("out_dir must be a non-empty string")
         for role, path in self.resolved["data"].items():

@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ParseError, Rule, ShapeError
+from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError, bounded
 from .kernels import make_rng
 
 _MAGIC = b"DSET"
@@ -124,7 +124,7 @@ class Dataset:
 
 
 # every kept index, and the width they index into, is an integer >= 0
-_INDEX = Rule("integer", "[0, inf)")
+_INDEX = bounded("integer", "[0, inf)")
 
 
 @dataclass(frozen=True)

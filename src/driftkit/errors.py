@@ -5,6 +5,7 @@ Each class maps to one failure category so the CLI can translate them
 into distinct exit codes.
 """
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields
@@ -59,19 +60,24 @@ class EmptyMaskError(DataError):
 @dataclass(frozen=True)
 class Rule:
     """What one config value accepts: ``kind`` "integer" or "real" (a
-    finite number) within ``interval``, written like "[0, 1)" or
-    "(0, inf)" with "(" or ")" for an open end (None: any value of the
-    kind), or ``kind`` "choice", one of the strings in ``choices``."""
+    finite number) between ``lo`` and ``hi``, each end open or closed,
+    or ``kind`` "choice", one of the strings in ``choices``."""
 
     kind: str
-    interval: str | None = None
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = True
+    hi_open: bool = True
     choices: tuple = ()
 
     def __str__(self) -> str:
         if self.kind == "choice":
             return "one of " + ", ".join(map(repr, self.choices))
         words = "an integer" if self.kind == "integer" else "a finite number"
-        return f"{words} in {self.interval}" if self.interval else words
+        if self.lo == -math.inf and self.hi == math.inf:
+            return words
+        return (f"{words} in {'(' if self.lo_open else '['}{self.lo:g}, "
+                f"{self.hi:g}{')' if self.hi_open else ']'}")
 
     def check(self, value, name: str):
         """``value`` as it is stored: an integer as ``int``, anything else
@@ -80,27 +86,35 @@ class Rule:
             ok = isinstance(value, str) and value in self.choices
         elif isinstance(value, bool) or not isinstance(value, numbers.Real):
             ok = False
-        elif self.kind == "integer":
-            ok = isinstance(value, numbers.Integral)
-            value = int(value) if ok else value
-        else:  # abs() <= max fails NaN, inf and integers beyond float64
-            ok = abs(value) <= sys.float_info.max
-        if ok and self.interval:
-            lo, hi = (float(end) for end in self.interval[1:-1].split(","))
-            ok = (lo < value if self.interval[0] == "(" else lo <= value) and (
-                value < hi if self.interval[-1] == ")" else value <= hi)
+        else:
+            if self.kind == "integer":
+                ok = isinstance(value, numbers.Integral)
+                value = int(value) if ok else value
+            else:  # abs() <= max fails NaN, inf and integers beyond float64
+                ok = abs(value) <= sys.float_info.max
+            ok = ok and (self.lo < value if self.lo_open else self.lo <= value) and (
+                value < self.hi if self.hi_open else value <= self.hi)
         if not ok:
             raise ConfigError(f"{name} must be {self}, got {value!r}")
         return value
 
 
+def bounded(kind: str, interval: str | None = None) -> Rule:
+    """The ``kind`` rule over ``interval``, written like "[0, 1)" or
+    "(0, inf)" with "(" or ")" for an open end (None: any value)."""
+    if interval is None:
+        return Rule(kind)
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return Rule(kind, lo, hi, interval[0] == "(", interval[-1] == ")")
+
+
 # a config dataclass declares each field's rule with one of these three
 def integer(default, interval: str):
-    return field(default=default, metadata={"rule": Rule("integer", interval)})
+    return field(default=default, metadata={"rule": bounded("integer", interval)})
 
 
 def real(default, interval: str | None = None):
-    return field(default=default, metadata={"rule": Rule("real", interval)})
+    return field(default=default, metadata={"rule": bounded("real", interval)})
 
 
 def choice(default, choices: tuple):

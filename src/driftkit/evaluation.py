@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import write_csv
-from .errors import ConfigError, DataError, ShapeError
+from .errors import DataError, ShapeError
 from .model import ModelParams, predict_proba
 
 # the metrics a model is selected or a feature scored by, and the error
@@ -59,10 +59,9 @@ class Metrics:
 
 
 def confusion(probs, labels, threshold: float = 0.5) -> ConfusionCounts:
-    """Count outcomes at the given threshold; predicted positive iff
-    prob >= threshold (ties go to the positive class)."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
+    """Count outcomes at the given threshold, in (0, 1) as every config's
+    ``threshold`` rule states; predicted positive iff prob >= threshold
+    (ties go to the positive class)."""
     p = np.asarray(probs, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
     if p.shape != y.shape:
@@ -116,8 +115,7 @@ class MetricsReport:
     threshold: float
 
     def error_series(self, metric: str = "err") -> list:
-        if metric not in ERROR_METRICS:
-            raise ConfigError(f"unknown error metric {metric!r}")
+        """Each bucket's ``metric``, one of ``ERROR_METRICS``."""
         return [getattr(r, metric) for r in self.rows]
 
     def to_json(self) -> dict:
@@ -170,9 +168,8 @@ class DriftVerdict:
 def detect_drift(error_series, epsilon: float, persistence: int = 2) -> DriftVerdict:
     """Find the first bucket index starting ``persistence`` consecutive
     buckets with error >= epsilon. Undefined entries (None) never satisfy
-    the exceedance condition."""
-    if persistence < 1:
-        raise ConfigError(f"persistence must be >= 1, got {persistence}")
+    the exceedance condition. ``persistence`` is at least 1, the rule of
+    ``EvalSettings.persistence``."""
     series = list(error_series)
     if not series:
         raise DataError("error series must be non-empty")

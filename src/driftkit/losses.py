@@ -25,10 +25,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DataError, ShapeError, check_fields, choice, real
+from .errors import DataError, ShapeError, check_fields, choice, real
 
 VARIANTS = ("bce", "sd_bce", "drbce")
 WEIGHT_MODES = ("frequency", "inverse_frequency", "uniform")
+_UNIT = {"p_fn": 1.0, "p_fp": 1.0, "w1": 1.0, "w0": 1.0}
+# the coefficients each variant fixes
+_REDUCED = {"bce": {"lam": 0.0, **_UNIT}, "sd_bce": _UNIT, "drbce": {}}
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,14 @@ class LossConfig:
         check_fields(self, "loss.")
 
     def effective(self) -> "LossConfig":
-        """Coefficients actually applied, after variant reductions."""
-        if self.variant == "bce":
-            return replace(self, lam=0.0, p_fn=1.0, p_fp=1.0, w1=1.0, w0=1.0)
-        if self.variant == "sd_bce":
-            return replace(self, p_fn=1.0, p_fp=1.0, w1=1.0, w0=1.0)
-        return self
+        """Coefficients actually applied, after variant reductions; ``self``
+        when they are reduced already, so a training step builds no config.
+        (A stored 0, 1 or -0.0 in place of 0.0 or 1.0 gives the kernels the
+        same bits.)"""
+        reduced = _REDUCED[self.variant]
+        if all(getattr(self, key) == value for key, value in reduced.items()):
+            return self
+        return replace(self, **reduced)
 
     def with_weights_from_counts(self, n0: int, n1: int) -> "LossConfig":
         w0, w1 = class_weights(n0, n1, self.weight_mode)
@@ -73,9 +78,8 @@ class LossConfig:
 
 
 def class_weights(n0: int, n1: int, mode: str = "frequency") -> tuple[float, float]:
-    """(w0, w1) from class counts, per the configured mode."""
-    if mode not in WEIGHT_MODES:
-        raise ConfigError(f"unknown weight_mode {mode!r}")
+    """(w0, w1) from class counts, per ``mode``, one of ``WEIGHT_MODES``
+    (the rule of ``LossConfig.weight_mode``)."""
     if mode == "uniform":
         return 1.0, 1.0
     n = n0 + n1

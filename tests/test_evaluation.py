@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftkit.data import Dataset, bucket_by_month, write_json
-from driftkit.errors import ConfigError, DataError, ShapeError
+from driftkit.errors import DataError, ShapeError
 from driftkit.evaluation import (
     BucketRow,
     ConfusionCounts,
@@ -50,10 +50,6 @@ def test_confusion_threshold_tie_predicts_positive():
 
 
 def test_confusion_validation():
-    with pytest.raises(ConfigError):
-        confusion(np.array([0.5]), np.array([1]), 0.0)
-    with pytest.raises(ConfigError):
-        confusion(np.array([0.5]), np.array([1]), 1.0)
     with pytest.raises(ShapeError):
         confusion(np.array([0.5, 0.5]), np.array([1]))
 
@@ -114,8 +110,6 @@ def test_error_series():
     r = make_report()
     assert r.error_series() == [0.1, None, 0.4]
     assert r.error_series("fnr") == [0.1, None, 0.4]
-    with pytest.raises(ConfigError):
-        r.error_series("precision")
 
 
 def test_report_csv_and_json(tmp_path):
@@ -236,8 +230,6 @@ def test_detect_drift_persistence_one():
 
 
 def test_detect_drift_validation():
-    with pytest.raises(ConfigError):
-        detect_drift([0.1], 0.5, persistence=0)
     with pytest.raises(DataError):
         detect_drift([], 0.5)
 

@@ -38,26 +38,20 @@ def _rule(cls, key):
     return next(f.metadata["rule"] for f in fields(cls) if f.name == key)
 
 
-def _ends(rule):
-    """(lo, lo_open, hi, hi_open) of the rule's interval."""
-    lo, hi = (float(end) for end in rule.interval[1:-1].split(","))
-    return lo, rule.interval[0] == "(", hi, rule.interval[-1] == ")"
-
-
 def _bad_values(rule) -> list:
     values = [True, False, math.nan, math.inf, -math.inf]
     if rule.kind == "choice":
         return values + [1, 10**400, rule.choices[0].upper()]
     values += ["1", [1]] + ([1.5] if rule.kind == "integer" else [10**400])
-    if rule.interval:
-        lo, lo_open, hi, hi_open = _ends(rule)
-        if rule.kind == "integer":
-            below, above = int(lo) - 1, None if hi == math.inf else int(hi) + 1
+    for end, is_open, away in ((rule.lo, rule.lo_open, -math.inf), (rule.hi, rule.hi_open, math.inf)):
+        if not math.isfinite(end):
+            continue
+        if is_open:
+            values.append(end)
+        elif rule.kind == "integer":
+            values.append(int(end) + (1 if away > 0 else -1))
         else:
-            below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-        values += [end if is_open else step
-                   for end, is_open, step in ((lo, lo_open, below), (hi, hi_open, above))
-                   if math.isfinite(end)]
+            values.append(math.nextafter(end, away))
     return values
 
 
@@ -116,10 +110,9 @@ def test_closed_ends_are_accepted(cls):
     base = {"input_dim": 3} if cls is ModelConfig else {}
     for f in fields(cls):
         rule = f.metadata.get("rule")
-        if rule is None or rule.interval is None:
+        if rule is None or rule.kind == "choice":
             continue
-        lo, lo_open, hi, hi_open = _ends(rule)
-        for end in [e for e, is_open in ((lo, lo_open), (hi, hi_open))
+        for end in [e for e, is_open in ((rule.lo, rule.lo_open), (rule.hi, rule.hi_open))
                     if math.isfinite(e) and not is_open]:
             value = int(end) if rule.kind == "integer" else end
             assert getattr(cls(**{**base, f.name: value}), f.name) == value
